@@ -4,7 +4,9 @@ Architecture (the paper's Fig. 8, coordinator + K workers):
 
 * the parent process is the coordinator: it creates a full mesh of
   ``socketpair`` channels, forks K worker processes, and collects results,
-  stage timings, and traffic logs over per-worker pipes;
+  stage timings, and traffic logs over one control ``socketpair`` per
+  worker (the :func:`~repro.runtime.transport.send_msg` codec, so result
+  arrays come home out of band, without a copy);
 * each worker runs the same :class:`~repro.runtime.program.NodeProgram` the
   threaded backend runs, over a :class:`Comm` whose point-to-point primitive
   is framed socket I/O;
@@ -41,11 +43,9 @@ import multiprocessing
 import os
 import queue
 import socket
-import struct
 import threading
 import time
 import traceback
-from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.api import (
@@ -74,15 +74,21 @@ from repro.runtime.monitor import JobMonitor
 from repro.runtime.program import (
     ClusterResult,
     JobControl,
-    NodeProgram,
     PreparedJob,
     ProgramFactory,
     assemble_cluster_result,
 )
 from repro.runtime.ratelimit import TokenBucket
 from repro.runtime.traffic import TrafficLog
-from repro.runtime.transport import TransportError, recv_frame, send_frame
-from repro.utils.timer import StageTimes
+from repro.runtime.transport import (
+    TransportError,
+    recv_frame,
+    recv_msg,
+    send_frame,
+    send_msg,
+    set_send_timeout,
+    wait_readable,
+)
 
 
 class _SocketComm(Comm):
@@ -174,12 +180,7 @@ class _SocketComm(Comm):
         at construction and never includes a dead rank.
         """
         if self._recv_timeout is not None:
-            sndtimeo = struct.pack(
-                "ll",
-                int(self._recv_timeout),
-                int((self._recv_timeout % 1) * 1e6),
-            )
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, sndtimeo)
+            set_send_timeout(sock, self._recv_timeout)
         old = self._conns.get(peer)
         self._conns[peer] = sock
         self._send_locks.setdefault(peer, threading.Lock())
@@ -557,11 +558,8 @@ def make_socket_comm(
     # traceback naming the stuck send.  SO_SNDTIMEO (unlike settimeout)
     # leaves the reader threads' blocking recv untouched: an idle receive
     # direction is normal; a send that cannot drain for this long is not.
-    sndtimeo = struct.pack(
-        "ll", int(socket_timeout), int((socket_timeout % 1) * 1e6)
-    )
     for s in conns.values():
-        s.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, sndtimeo)
+        set_send_timeout(s, socket_timeout)
     pacer = (
         TokenBucket(rate_bytes_per_s) if rate_bytes_per_s is not None else None
     )
@@ -577,95 +575,6 @@ def make_socket_comm(
     )
     comm._start_readers()
     return comm
-
-
-def _setup_worker_comm(
-    rank: int,
-    size: int,
-    conns: Dict[int, socket.socket],
-    extra_close: List,
-    multicast_mode: MulticastMode,
-    rate_bytes_per_s: Optional[float],
-    socket_timeout: float,
-    chunk_bytes: int,
-    record_relays: bool,
-) -> _SocketComm:
-    """Forked-child comm setup shared by the one-shot and pool workers."""
-    # Drop inherited duplicates of other endpoints' fds.  Without this a
-    # dead peer's channel never reaches EOF (our own inherited copy of its
-    # socket end keeps it open), so failures would only surface via the
-    # receive timeout instead of an immediate reader-thread EOF.
-    for obj in extra_close:
-        try:
-            obj.close()
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-    return make_socket_comm(
-        rank,
-        size,
-        conns,
-        multicast_mode,
-        rate_bytes_per_s,
-        socket_timeout,
-        chunk_bytes,
-        record_relays,
-    )
-
-
-def _worker_main(
-    rank: int,
-    size: int,
-    conns: Dict[int, socket.socket],
-    extra_close: List,
-    factory: ProgramFactory,
-    multicast_mode: MulticastMode,
-    rate_bytes_per_s: Optional[float],
-    result_conn,
-    socket_timeout: float,
-    chunk_bytes: int,
-    record_relays: bool,
-) -> None:
-    """One-shot worker entry point (runs in the forked child)."""
-    from repro.kvpairs.spill import install_spill_cleanup_handler
-
-    install_spill_cleanup_handler()
-    comm: Optional[_SocketComm] = None
-    try:
-        comm = _setup_worker_comm(
-            rank,
-            size,
-            conns,
-            extra_close,
-            multicast_mode,
-            rate_bytes_per_s,
-            socket_timeout,
-            chunk_bytes,
-            record_relays,
-        )
-        program = factory(comm)
-        result = program.run()
-        assert comm.traffic is not None
-        result_conn.send(
-            (
-                "ok",
-                rank,
-                result,
-                program.stopwatch.times(),
-                comm.traffic.records,
-                list(program.STAGES),
-            )
-        )
-    except BaseException:  # noqa: BLE001 - reported to the parent
-        result_conn.send(("error", rank, traceback.format_exc(), None, None, None))
-    finally:
-        if comm is not None:
-            comm._close_async()
-        result_conn.close()
-        for s in conns.values():
-            try:
-                s.close()
-            except OSError:
-                pass
 
 
 class _CtrlReader:
@@ -701,7 +610,7 @@ class _CtrlReader:
         while True:
             try:
                 msg = self._recv_msg()
-            except (EOFError, OSError, TransportError):
+            except (OSError, TransportError):
                 self.inbox.put(self._EOF)
                 return
             if msg[0] == "ctl":
@@ -752,7 +661,7 @@ class _Heartbeater:
             try:
                 with self._send_lock:
                     self._send_msg(beat)
-            except (OSError, ValueError, TransportError):
+            except (OSError, TransportError):
                 return  # coordinator gone; the control loop will notice
 
     def stop(self) -> None:
@@ -841,14 +750,13 @@ def serve_pool_jobs(
     worker crashes) reports as ``("comm_error", rank, seq, tb)``, any
     other exception — a genuine program bug — as ``("error", ...)``.
 
-    ``recv_msg`` must raise ``EOFError`` / ``OSError`` /
-    :class:`TransportError` once the coordinator is gone; any non-``job``
-    message (``("stop",)``) also ends the loop, as does a
-    :class:`WorkerDrain` trigger once the in-flight job (if any) has
-    reported.  Shared by the forked AF_UNIX pool workers here
-    (transport: a duplex pipe) and the TCP worker agents in
-    :mod:`repro.runtime.tcp` (transport: framed pickles on the
-    rendezvous connection).
+    ``recv_msg`` must raise ``OSError`` / :class:`TransportError` once
+    the coordinator is gone; any non-``job`` message (``("stop",)``)
+    also ends the loop, as does a :class:`WorkerDrain` trigger once the
+    in-flight job (if any) has reported.  Shared by the forked AF_UNIX pool workers here and the
+    TCP worker agents in :mod:`repro.runtime.tcp`; both speak the
+    :func:`~repro.runtime.transport.send_msg` codec, over a control
+    ``socketpair`` and the rendezvous connection respectively.
     """
     send_lock = threading.Lock()
 
@@ -919,7 +827,7 @@ def serve_pool_jobs(
                 heartbeater = None
             try:
                 report(("comm_error", rank, job_seq, traceback.format_exc()))
-            except (OSError, ValueError, TransportError):
+            except (OSError, TransportError):
                 return
         except BaseException as exc:  # noqa: BLE001 - reported to coordinator
             failed = True
@@ -928,7 +836,7 @@ def serve_pool_jobs(
                 heartbeater = None
             try:
                 report(("error", rank, job_seq, traceback.format_exc()))
-            except (OSError, ValueError, TransportError):
+            except (OSError, TransportError):
                 return
             if isinstance(exc, SystemExit):
                 # Drain escalation (second SIGTERM) or an explicit
@@ -953,61 +861,260 @@ def serve_pool_jobs(
             return
 
 
-def _pool_worker_main(
+def _worker_main(
     rank: int,
-    size: int,
     conns: Dict[int, socket.socket],
     extra_close: List,
-    ctrl_conn,
-    multicast_mode: MulticastMode,
-    rate_bytes_per_s: Optional[float],
-    socket_timeout: float,
-    chunk_bytes: int,
-    record_relays: bool,
-    heartbeat_interval: Optional[float] = None,
+    ctrl: socket.socket,
+    cluster: "ProcessCluster",
+    factory: Optional[ProgramFactory],
 ) -> None:
-    """Pool worker entry point (forked child): :func:`serve_pool_jobs`
-    over the duplex control pipe, after the one-time mesh/comm setup."""
+    """Forked worker entry point.
+
+    A pool worker (``factory`` is ``None``) runs :func:`serve_pool_jobs`
+    over its control socketpair until stopped.  A one-shot worker
+    (:meth:`ProcessCluster.run`) runs ``factory``'s program once and
+    reports it the way a pool reports job 0.
+    """
     from repro.kvpairs.spill import SpillDir, install_spill_cleanup_handler
 
-    # Spill hygiene: a terminated pool worker must still remove its
-    # per-job spill dirs (SIGTERM -> SystemExit -> atexit hooks), and a
-    # fresh pool (e.g. re-forked after an injected SIGKILL) reaps any
-    # spill dirs a crashed predecessor left behind.
+    # Spill hygiene: a terminated worker must still remove its per-job
+    # spill dirs (SIGTERM -> SystemExit -> atexit hooks), and a fresh pool
+    # (e.g. re-forked after an injected SIGKILL) reaps any spill dirs a
+    # crashed predecessor left behind.
     install_spill_cleanup_handler()
-    SpillDir.sweep_stale()
+    if factory is None:
+        SpillDir.sweep_stale()
+    # Drop inherited duplicates of other endpoints' fds.  Without this a
+    # dead peer's channel never reaches EOF (our own inherited copy of its
+    # socket end keeps it open), so failures would only surface via the
+    # receive timeout instead of an immediate reader-thread EOF.
+    for obj in extra_close:
+        obj.close()
+    set_send_timeout(ctrl, cluster.timeout)
     comm: Optional[_SocketComm] = None
     try:
-        comm = _setup_worker_comm(
+        comm = make_socket_comm(
             rank,
-            size,
+            cluster.size,
             conns,
-            extra_close,
-            multicast_mode,
-            rate_bytes_per_s,
-            socket_timeout,
-            chunk_bytes,
-            record_relays,
+            cluster.multicast_mode,
+            cluster.rate_bytes_per_s,
+            cluster.timeout,
+            cluster.chunk_bytes,
+            cluster.record_relays,
         )
-        serve_pool_jobs(
-            comm,
-            rank,
-            ctrl_conn.recv,
-            ctrl_conn.send,
-            heartbeat_interval=heartbeat_interval,
-        )
+        if factory is None:
+            serve_pool_jobs(
+                comm,
+                rank,
+                lambda: recv_msg(ctrl),
+                lambda msg: send_msg(ctrl, msg),
+                heartbeat_interval=cluster.heartbeat_interval,
+            )
+            return
+        try:
+            program = factory(comm)
+            report: Tuple = (
+                "ok",
+                rank,
+                0,
+                program.run(),
+                program.stopwatch.times(),
+                comm.traffic.records,
+                list(program.STAGES),
+            )
+        except BaseException:  # noqa: BLE001 - reported to the parent
+            report = ("error", rank, 0, traceback.format_exc())
+        try:
+            send_msg(ctrl, report)
+        except (OSError, TransportError):
+            pass  # the parent gave up on this run and reports why
     finally:
         if comm is not None:
             comm._close_async()
-        try:
-            ctrl_conn.close()
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
+        ctrl.close()
         for s in conns.values():
             try:
                 s.close()
             except OSError:
                 pass
+
+
+def _fork_workers(
+    cluster: "ProcessCluster", factory: Optional[ProgramFactory] = None
+) -> Tuple[List, List[socket.socket]]:
+    """Fork ``cluster.size`` :func:`_worker_main` workers over a fresh
+    socket mesh, one control socketpair each.
+
+    Returns the processes and the parent's ends of the control channels.
+    Pool workers (no ``factory``) are daemons; one-shot workers are not.
+    """
+    ctx = multiprocessing.get_context("fork")
+    pairs = _build_mesh(cluster.size)
+    procs: List = []
+    ctrl: List[socket.socket] = []
+    try:
+        for rank in range(cluster.size):
+            conns, extra_close = _mesh_endpoints(pairs, rank)
+            # Earlier workers' parent-side control ends are inherited
+            # too; the child drops those copies.
+            extra_close.extend(ctrl)
+            parent, child = socket.socketpair()
+            extra_close.append(parent)
+            proc = ctx.Process(
+                target=_worker_main,
+                args=(rank, conns, extra_close, child, cluster, factory),
+                name=f"{'pool-' if factory is None else ''}worker-{rank}",
+                daemon=factory is None,
+            )
+            try:
+                proc.start()
+            finally:
+                child.close()
+            ctrl.append(parent)
+            procs.append(proc)
+    except BaseException:
+        _reap(procs, grace=0.0)
+        for conn in ctrl:
+            conn.close()
+        raise
+    finally:
+        # The parent no longer needs the mesh fds (workers hold theirs).
+        for si, sj in pairs.values():
+            si.close()
+            sj.close()
+    return procs, ctrl
+
+
+def _reap(procs: Sequence, grace: float) -> None:
+    """Join workers, escalating to SIGTERM after ``grace`` s, then SIGKILL."""
+    for proc in procs:
+        proc.join(timeout=grace)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=5.0)
+        if proc.is_alive():
+            # SIGTERM stays pending on a stopped (SIGSTOP) worker; only
+            # SIGKILL reaps it, and teardown must never hang.
+            proc.kill()
+            proc.join()
+
+
+def gather_job(
+    backend: str,
+    ctrl: Sequence[socket.socket],
+    seq: int,
+    monitor: JobMonitor,
+    timeout: float,
+    heartbeat_interval: Optional[float],
+    broadcast_ctl: Callable[[int, Any], None],
+) -> ClusterResult:
+    """Collect job ``seq``'s per-rank reports from the control sockets.
+
+    The one collection loop of the process and TCP pools (and the
+    one-shot :meth:`ProcessCluster.run`).  Each worker sends heartbeats
+    and then one ``ok`` / ``comm_error`` / ``error`` report, as
+    :func:`serve_pool_jobs` does.  Heartbeats feed ``monitor``: a worker
+    silent past its ``failure_timeout`` is declared dead (when
+    ``heartbeat_interval`` is set), and speculation directives go out
+    through ``broadcast_ctl``.  The whole collection is bounded by one
+    ``timeout`` deadline, and each frame's receive by the time left, so a
+    worker stopped mid-frame cannot hang the driver.
+
+    Raises:
+        WorkerFailure: a worker died, went silent, or the job timed out
+            (the message names the pending ranks); see
+            :func:`~repro.runtime.errors.job_failure`.
+        RuntimeError: a worker's program raised; the worker's traceback
+            text is included.
+    """
+    k = len(ctrl)
+    results: List[Any] = [None] * k
+    times: List[Dict[str, float]] = [dict() for _ in range(k)]
+    traffic = TrafficLog()
+    stages: List[str] = []
+    program_errors: List[str] = []
+    infra_failures: List[Tuple[int, str, str]] = []  # (rank, stage, cause)
+    pending: Dict[socket.socket, int] = {
+        conn: rank for rank, conn in enumerate(ctrl)
+    }
+    deadline = time.monotonic() + timeout
+    # After the first failure, keep draining reports for a short grace
+    # window: the survivors' cascade (comm_error / EOF) and — crucially —
+    # any root-cause program error must be classified before raising.
+    grace_deadline: Optional[float] = None
+    while pending:
+        now = time.monotonic()
+        if now >= deadline:
+            if not (program_errors or infra_failures):
+                infra_failures.append((
+                    -1,
+                    "unknown",
+                    f"job timed out after {timeout}s "
+                    f"(ranks {sorted(pending.values())} pending)",
+                ))
+            break
+        if grace_deadline is not None and now >= grace_deadline:
+            break
+        if heartbeat_interval:
+            try:
+                monitor.check_liveness(pending.values())
+            except WorkerFailure as failure:
+                infra_failures.append(
+                    (failure.rank, failure.stage, failure.cause)
+                )
+                for conn, rank in list(pending.items()):
+                    if rank == failure.rank:
+                        del pending[conn]
+        for straggler, backup in monitor.speculation_directives():
+            broadcast_ctl(seq, ("speculate", straggler, backup))
+        if (program_errors or infra_failures) and grace_deadline is None:
+            grace_deadline = time.monotonic() + min(1.0, timeout)
+        wait_for = monitor.poll_timeout(
+            min(deadline, grace_deadline or deadline) - time.monotonic()
+        )
+        for conn in wait_readable(list(pending), wait_for):
+            rank = pending[conn]
+            conn.settimeout(max(1.0, deadline - time.monotonic()))
+            try:
+                msg = recv_msg(conn)
+            except (OSError, TransportError) as exc:
+                del pending[conn]
+                infra_failures.append((
+                    rank,
+                    monitor.stage_of(rank),
+                    f"worker died mid-job: {exc}",
+                ))
+                continue
+            finally:
+                conn.settimeout(None)
+            if msg[0] == "hb":
+                if msg[2] == seq:
+                    monitor.heartbeat(msg[1], msg[3])
+                continue
+            del pending[conn]
+            monitor.result(rank)
+            if msg[0] == "comm_error":
+                infra_failures.append((
+                    msg[1],
+                    monitor.stage_of(msg[1]),
+                    f"comm failure:\n{msg[3]}",
+                ))
+                continue
+            if msg[0] != "ok":
+                program_errors.append(f"worker {msg[1]}:\n{msg[3]}")
+                continue
+            _, _, wseq, payload, sw_times, records, prog_stages = msg
+            assert wseq == seq, f"job sequence mismatch: {wseq} != {seq}"
+            results[rank] = payload
+            times[rank] = sw_times
+            traffic.extend(records)
+            if prog_stages and not stages:
+                stages = prog_stages
+    if program_errors or infra_failures:
+        raise _job_failure(backend, program_errors, infra_failures)
+    return assemble_cluster_result(results, times, traffic, stages)
 
 
 class ProcessCluster:
@@ -1060,83 +1167,29 @@ class ProcessCluster:
         """Fork workers, run the program, gather results and traffic.
 
         Raises:
-            RuntimeError: if any worker fails or the run times out; the
-                worker's traceback text is included.
+            RuntimeError: if any worker fails or the run outlives
+                ``timeout`` (one deadline for the whole run; the message
+                names the pending ranks); the worker's traceback text is
+                included.
         """
-        ctx = multiprocessing.get_context("fork")
-        k = self.size
-
-        pairs = _build_mesh(k)
-        parent_conns = []
-        processes = []
+        procs, ctrl = _fork_workers(self, factory)
+        grace = 0.0  # a failed run stops its workers at once
         try:
-            for rank in range(k):
-                conns, extra_close = _mesh_endpoints(pairs, rank)
-                # Result-pipe read ends (earlier workers' and this one's
-                # own) are inherited too; the child drops those copies.
-                extra_close.extend(parent_conns)
-                recv_conn, send_conn = ctx.Pipe(duplex=False)
-                extra_close.append(recv_conn)
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        rank,
-                        k,
-                        conns,
-                        extra_close,
-                        factory,
-                        self.multicast_mode,
-                        self.rate_bytes_per_s,
-                        send_conn,
-                        self.timeout,
-                        self.chunk_bytes,
-                        self.record_relays,
-                    ),
-                    name=f"worker-{rank}",
-                )
-                proc.start()
-                send_conn.close()
-                parent_conns.append(recv_conn)
-                processes.append(proc)
-            # Parent no longer needs the mesh fds.
-            for si, sj in pairs.values():
-                si.close()
-                sj.close()
-
-            results: List[Any] = [None] * k
-            times: List[Dict[str, float]] = [dict() for _ in range(k)]
-            traffic = TrafficLog()
-            stages: List[str] = []
-            failures: List[str] = []
-            for conn in parent_conns:
-                if not conn.poll(self.timeout):
-                    failures.append("worker result timeout")
-                    continue
-                status, rank, payload, sw_times, records, prog_stages = conn.recv()
-                if status != "ok":
-                    failures.append(f"worker {rank}:\n{payload}")
-                    continue
-                results[rank] = payload
-                times[rank] = sw_times
-                traffic.extend(records)
-                if prog_stages and not stages:
-                    stages = prog_stages
-            for proc in processes:
-                proc.join(timeout=10.0)
-                if proc.is_alive():  # pragma: no cover - defensive
-                    proc.terminate()
-                    proc.join()
-            if failures:
-                raise RuntimeError(
-                    "ProcessCluster run failed:\n" + "\n".join(failures)
-                )
-            return assemble_cluster_result(results, times, traffic, stages)
+            result = gather_job(
+                "ProcessCluster",
+                ctrl,
+                0,
+                JobMonitor(self.size, self.failure_timeout),
+                self.timeout,
+                None,
+                lambda seq, payload: None,
+            )
+            grace = 10.0
+            return result
         finally:
-            for proc in processes:
-                if proc.is_alive():
-                    proc.terminate()
-            for conn in parent_conns:
+            for conn in ctrl:
                 conn.close()
+            _reap(procs, grace)
 
     def create_pool(self) -> "_ProcessPool":
         """A persistent worker pool over this cluster configuration.
@@ -1148,85 +1201,33 @@ class ProcessCluster:
         return _ProcessPool(self)
 
 
-class _ProcessPool:
-    """K persistent worker processes over one long-lived socket mesh.
+class _ControlPool:
+    """Driver side shared by the process and TCP pools.
 
-    Workers are forked lazily on the first job and then run
-    :func:`_pool_worker_main`'s control loop: the per-job cost drops to
-    one (builder, payload) pickle per worker plus the job itself — the
-    fork + socketpair-mesh + reader-thread setup is paid once per pool,
-    not once per job.  Job dispatch and collection are strictly
-    sequential (the mesh runs one job at a time).
-
-    Failure policy: any worker error, worker death, or job timeout fails
-    that job with :class:`RuntimeError` and tears the workers down; the
-    next job transparently re-forks a clean mesh.  A half-failed mesh may
-    hold arbitrary in-flight frames, so a fresh fork is both simpler and
-    strictly more robust than in-place resynchronization — and keeps the
-    "session survives a failed job" contract cheap.
+    Subclasses own the worker lifecycle — ``_start`` fills ``_ctrl`` with
+    one control socket per rank, ``close`` tears the workers down,
+    ``running`` says whether they are usable — and this class runs jobs
+    over those sockets: dispatch through the
+    :func:`~repro.runtime.transport.send_msg` codec, collection through
+    :func:`gather_job`.  Jobs run strictly one at a time (the mesh runs
+    one job at a time).
     """
 
-    def __init__(self, cluster: ProcessCluster) -> None:
+    #: Backend name in job-failure messages.
+    _BACKEND = "pool"
+
+    def __init__(self, cluster: Any) -> None:
         self._cluster = cluster
         self.size = cluster.size
-        self._ctx = multiprocessing.get_context("fork")
-        self._procs: List = []
-        self._ctrl: List = []
+        self._ctrl: List[socket.socket] = []
         self._job_seq = 0
-
-    @property
-    def running(self) -> bool:
-        return bool(self._procs) and all(p.is_alive() for p in self._procs)
-
-    def _start(self) -> None:
-        k = self.size
-        pairs = _build_mesh(k)
-        ctrl_conns: List = []
-        procs: List = []
-        try:
-            for rank in range(k):
-                conns, extra_close = _mesh_endpoints(pairs, rank)
-                # Earlier workers' parent-side control ends are inherited
-                # too; the child drops those copies.
-                extra_close.extend(ctrl_conns)
-                parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-                extra_close.append(parent_conn)
-                proc = self._ctx.Process(
-                    target=_pool_worker_main,
-                    args=(
-                        rank,
-                        k,
-                        conns,
-                        extra_close,
-                        child_conn,
-                        self._cluster.multicast_mode,
-                        self._cluster.rate_bytes_per_s,
-                        self._cluster.timeout,
-                        self._cluster.chunk_bytes,
-                        self._cluster.record_relays,
-                        self._cluster.heartbeat_interval,
-                    ),
-                    name=f"pool-worker-{rank}",
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                ctrl_conns.append(parent_conn)
-                procs.append(proc)
-        finally:
-            # The pool no longer needs the mesh fds (workers hold theirs).
-            for si, sj in pairs.values():
-                si.close()
-                sj.close()
-        self._procs = procs
-        self._ctrl = ctrl_conns
 
     def _broadcast_ctl(self, seq: int, payload: Any) -> None:
         """Best-effort mid-job control frame to every worker."""
         for conn in self._ctrl:
             try:
-                conn.send(("ctl", seq, payload))
-            except (OSError, ValueError):  # pragma: no cover - dying pool
+                send_msg(conn, ("ctl", seq, payload))
+            except (OSError, TransportError):  # pragma: no cover - dying pool
                 pass
 
     def run_job(self, prepared: PreparedJob) -> ClusterResult:
@@ -1255,133 +1256,83 @@ class _ProcessPool:
         self._job_seq += 1
         try:
             for rank, conn in enumerate(self._ctrl):
-                conn.send(
-                    ("job", seq, prepared.builder, prepared.payloads[rank])
+                send_msg(
+                    conn, ("job", seq, prepared.builder, prepared.payloads[rank])
                 )
-        except (OSError, ValueError) as exc:
+        except (OSError, TransportError) as exc:
             self.close()
             raise WorkerFailure(
                 -1, "dispatch", f"worker pool died while dispatching job: {exc}"
             ) from exc
-
-        results: List[Any] = [None] * k
-        times: List[Dict[str, float]] = [dict() for _ in range(k)]
-        traffic = TrafficLog()
-        stages: List[str] = []
-        program_errors: List[str] = []
-        infra_failures: List[Tuple[int, str, str]] = []  # (rank, stage, cause)
-        pending: Dict[Any, int] = {
-            conn: rank for rank, conn in enumerate(self._ctrl)
-        }
-        monitor = JobMonitor(
-            k, self._cluster.failure_timeout, prepared.speculation
-        )
-        deadline = time.monotonic() + self._cluster.timeout
-        # After the first failure, keep draining reports for a short grace
-        # window: the survivors' cascade (comm_error / EOF) and — crucially
-        # — any root-cause program error must be classified before raising.
-        grace_deadline: Optional[float] = None
-        while pending:
-            now = time.monotonic()
-            if now >= deadline:
-                if not (program_errors or infra_failures):
-                    infra_failures.append((
-                        -1,
-                        "unknown",
-                        f"job timed out after {self._cluster.timeout}s "
-                        f"(ranks {sorted(pending.values())} pending)",
-                    ))
-                break
-            if grace_deadline is not None and now >= grace_deadline:
-                break
-            if self._cluster.heartbeat_interval:
-                try:
-                    monitor.check_liveness(pending.values())
-                except WorkerFailure as failure:
-                    infra_failures.append(
-                        (failure.rank, failure.stage, failure.cause)
-                    )
-                    for conn, rank in list(pending.items()):
-                        if rank == failure.rank:
-                            del pending[conn]
-            for straggler, backup in monitor.speculation_directives():
-                self._broadcast_ctl(seq, ("speculate", straggler, backup))
-            if (program_errors or infra_failures) and grace_deadline is None:
-                grace_deadline = time.monotonic() + min(
-                    1.0, self._cluster.timeout
-                )
-            wait_for = monitor.poll_timeout(
-                min(deadline, grace_deadline or deadline) - time.monotonic()
+        cluster = self._cluster
+        try:
+            return gather_job(
+                self._BACKEND,
+                self._ctrl,
+                seq,
+                JobMonitor(k, cluster.failure_timeout, prepared.speculation),
+                cluster.timeout,
+                cluster.heartbeat_interval,
+                self._broadcast_ctl,
             )
-            for conn in _conn_wait(list(pending), wait_for):
-                rank = pending[conn]
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    del pending[conn]
-                    infra_failures.append((
-                        rank,
-                        monitor.stage_of(rank),
-                        "worker process died mid-job (control channel EOF)",
-                    ))
-                    continue
-                if msg[0] == "hb":
-                    if msg[2] == seq:
-                        monitor.heartbeat(msg[1], msg[3])
-                    continue
-                del pending[conn]
-                monitor.result(rank)
-                if msg[0] == "comm_error":
-                    infra_failures.append((
-                        msg[1],
-                        monitor.stage_of(msg[1]),
-                        f"comm failure:\n{msg[3]}",
-                    ))
-                    continue
-                if msg[0] != "ok":
-                    program_errors.append(f"worker {msg[1]}:\n{msg[3]}")
-                    continue
-                _, _, wseq, payload, sw_times, records, prog_stages = msg
-                assert wseq == seq, f"job sequence mismatch: {wseq} != {seq}"
-                results[rank] = payload
-                times[rank] = sw_times
-                traffic.extend(records)
-                if prog_stages and not stages:
-                    stages = prog_stages
-        if program_errors or infra_failures:
+        except RuntimeError:
             self.close()
-            raise _job_failure(
-                "ProcessCluster", program_errors, infra_failures
-            )
-        return assemble_cluster_result(results, times, traffic, stages)
+            raise
+
+    def __enter__(self) -> "_ControlPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class _ProcessPool(_ControlPool):
+    """K persistent worker processes over one long-lived socket mesh.
+
+    Workers are forked lazily on the first job and then run
+    :func:`serve_pool_jobs`' control loop: the per-job cost drops to
+    one (builder, payload) message per worker plus the job itself — the
+    fork + socketpair-mesh + reader-thread setup is paid once per pool,
+    not once per job.
+
+    Each worker's control channel is a plain ``socketpair`` carrying the
+    :func:`~repro.runtime.transport.send_msg` codec, the same control
+    plane the TCP pool speaks: result arrays come home as out-of-band
+    buffers in one gathered frame and land, uncopied, in the driver's
+    receive arena.
+
+    Failure policy: any worker error, worker death, or job timeout fails
+    that job with :class:`RuntimeError` and tears the workers down; the
+    next job transparently re-forks a clean mesh.  A half-failed mesh may
+    hold arbitrary in-flight frames, so a fresh fork is both simpler and
+    strictly more robust than in-place resynchronization — and keeps the
+    "session survives a failed job" contract cheap.
+    """
+
+    _BACKEND = "ProcessCluster"
+
+    def __init__(self, cluster: ProcessCluster) -> None:
+        super().__init__(cluster)
+        self._procs: List = []
+
+    @property
+    def running(self) -> bool:
+        return bool(self._procs) and all(p.is_alive() for p in self._procs)
+
+    def _start(self) -> None:
+        self._procs, self._ctrl = _fork_workers(self._cluster)
+        for conn in self._ctrl:
+            set_send_timeout(conn, self._cluster.timeout)
 
     def close(self) -> None:
         """Stop the workers (idempotent); a later job restarts the pool."""
         for conn in self._ctrl:
             try:
-                conn.send(("stop",))
-            except (OSError, ValueError):
+                send_msg(conn, ("stop",))
+            except (OSError, TransportError):
                 pass
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-            if proc.is_alive():
-                # SIGTERM stays pending on a stopped (SIGSTOP) worker; only
-                # SIGKILL reaps it, and close() must never hang.
-                proc.kill()
-                proc.join()
+        _reap(self._procs, grace=5.0)
         for conn in self._ctrl:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
+            conn.close()
         self._procs = []
         self._ctrl = []
-
-    def __enter__(self) -> "_ProcessPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -16,7 +16,8 @@ everything is shared with the multiprocessing backend:
 
 Rendezvous protocol (all control messages are length-prefixed frames on
 the worker's coordinator connection; fixed-layout structs for the two
-messages that must parse across versions, pickled tuples after that)::
+messages that must parse across versions, then the
+:func:`~repro.runtime.transport.send_msg` codec)::
 
     worker -> coord   HELLO   magic, protocol version, requested rank (-1 = any)
     coord  -> worker  WELCOME rank, size, mesh nonce, cluster config
@@ -54,17 +55,19 @@ for K fresh (or supervisor-restarted) workers to join; run workers under
 a restart loop to get the process backend's transparent-restart behavior.
 
 Trust model: job dispatch pickles ``(builder, payload)`` to workers and
-results back — run this only between mutually trusted hosts on a private
-network, exactly like the paper's EC2 security group (pickle grants the
-coordinator arbitrary code execution on workers, which is also what lets
-``Session`` ship any prepared job unchanged).
+results back through the :func:`~repro.runtime.transport.send_msg`
+codec (protocol 5, arrays out of band) — run this only between mutually
+trusted hosts on a private network, exactly like the paper's EC2
+security group (pickle grants the coordinator arbitrary code execution
+on workers, which is also what lets ``Session`` ship any prepared job
+unchanged).  Pickle stays on this trusted driver/worker plane: the sort
+service's client port (:mod:`repro.service.protocol`) keeps its own
+codec and is unaffected.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import selectors
 import signal
 import socket
 import struct
@@ -73,21 +76,23 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.runtime.api import DEFAULT_CHUNK_BYTES, MulticastMode
-from repro.runtime.errors import WorkerFailure, job_failure
-from repro.runtime.monitor import JobMonitor
 from repro.runtime.process import (
     WorkerDrain,
+    _ControlPool,
     _SocketComm,
     make_socket_comm,
     serve_pool_jobs,
 )
-from repro.runtime.program import (
-    ClusterResult,
-    PreparedJob,
-    assemble_cluster_result,
+from repro.runtime.transport import (
+    CTRL_TAG,
+    TransportError,
+    recv_frame,
+    recv_msg,
+    send_frame,
+    send_msg,
+    set_send_timeout,
+    wait_readable,
 )
-from repro.runtime.traffic import TrafficLog
-from repro.runtime.transport import TransportError, recv_frame, send_frame
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -105,8 +110,11 @@ __all__ = [
 #: fail to unpack them, so the sort service requires v2 agents.  v3:
 #: PEER_HELLO grew a membership-epoch field and the rendezvous accepts
 #: mid-flight rejoins (elastic service pools) — a v2 worker would
-#: mis-unpack the peer handshake, so the mesh requires v3 agents.
-PROTOCOL_VERSION = 3
+#: mis-unpack the peer handshake, so the mesh requires v3 agents.  v4:
+#: control messages are protocol-5 pickles with out-of-band buffers (the
+#: :func:`~repro.runtime.transport.send_msg` codec) — a v3 worker would
+#: unpickle the codec's header as a pickle.
+PROTOCOL_VERSION = 4
 
 _MAGIC = b"CODEDTS1"
 #: HELLO: magic, protocol version, requested rank (-1 = assign any).
@@ -118,7 +126,7 @@ _PEER_HELLO = struct.Struct("<8sQIQ")
 #: Frame tags on control / peer-handshake links (one kind per link state,
 #: so a frame of the wrong tag is a protocol error, not a misroute).
 _TAG_HELLO = 1
-_TAG_CTRL = 2
+_TAG_CTRL = CTRL_TAG
 _TAG_PEER = 3
 
 
@@ -156,19 +164,12 @@ def parse_address(address: str) -> Tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Control-plane framing: fixed structs for HELLO/PEER_HELLO, pickles after.
+# Control-plane framing: fixed structs for HELLO/PEER_HELLO, the
+# send_msg / recv_msg codec after.
 # ---------------------------------------------------------------------------
 
-
-def _send_msg(sock: socket.socket, obj: Any, tag: int = _TAG_CTRL) -> None:
-    send_frame(sock, tag, pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
-
-
-def _recv_msg(sock: socket.socket, tag: int = _TAG_CTRL) -> Any:
-    got, payload = recv_frame(sock)
-    if got != tag:
-        raise TransportError(f"expected control frame tag {tag}, got {got}")
-    return pickle.loads(bytes(payload))
+_send_msg = send_msg
+_recv_msg = recv_msg
 
 
 def _recv_ctrl(sock: socket.socket, step: str) -> Any:
@@ -177,18 +178,6 @@ def _recv_ctrl(sock: socket.socket, step: str) -> Any:
         return _recv_msg(sock)
     except (OSError, TransportError) as exc:
         raise TcpClusterError(f"{step}: {exc}") from exc
-
-
-def _bound_sends(sock: socket.socket, timeout: float) -> None:
-    """Bound blocking sends at the kernel (SO_SNDTIMEO), like the mesh
-    sockets in :func:`~repro.runtime.process.make_socket_comm`: a wedged
-    peer (connection up, nothing draining) raises instead of hanging a
-    job dispatch or a result report forever."""
-    sock.setsockopt(
-        socket.SOL_SOCKET,
-        socket.SO_SNDTIMEO,
-        struct.pack("ll", int(timeout), int((timeout % 1) * 1e6)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +481,7 @@ def run_worker(
             ).start()
         _send_msg(ctrl, ("ready",))
         ctrl.settimeout(None)
-        _bound_sends(ctrl, cfg["timeout"])
+        set_send_timeout(ctrl, cfg["timeout"])
         say("mesh up, serving jobs")
         serve_pool_jobs(
             comm,
@@ -640,24 +629,24 @@ class TcpCluster:
         return f"TcpCluster(size={self.size}, address={self.address!r})"
 
 
-class _TcpPool:
+class _TcpPool(_ControlPool):
     """K rendezvoused TCP workers serving jobs over control connections.
 
     The driver-side twin of
     :class:`~repro.runtime.process._ProcessPool`, with the fork replaced
     by the rendezvous: ``_start`` admits K workers (handshake, roster,
-    mesh, ready), then ``run_job`` ships one pickled ``(builder,
-    payload)`` per worker and gathers per-rank results/times/traffic.
-    Failure policy matches the process pool — any worker error/death
-    fails the job and tears the pool down — except that the next job
-    *waits for workers to rejoin* instead of re-forking them.
+    mesh, ready), then the shared ``run_job`` ships one ``(builder,
+    payload)`` message per worker and gathers per-rank
+    results/times/traffic with the process pool's loop.  Failure policy
+    matches the process pool — any worker error/death fails the job and
+    tears the pool down — except that the next job *waits for workers to
+    rejoin* the standing rendezvous instead of re-forking them.
     """
 
+    _BACKEND = "TcpCluster"
+
     def __init__(self, cluster: TcpCluster) -> None:
-        self._cluster = cluster
-        self.size = cluster.size
-        self._ctrl: List[socket.socket] = []
-        self._job_seq = 0
+        super().__init__(cluster)
         self._nonce = 0
         #: Advertised mesh-listener addresses, by rank, of the current
         #: generation — kept so an elastic ServicePool can hand a
@@ -675,8 +664,7 @@ class _TcpPool:
         """
         if len(self._ctrl) != self.size:
             return False
-        readable, _, _ = _select(self._ctrl, 0.0)
-        return not readable
+        return not wait_readable(self._ctrl, 0.0)
 
     # -- rendezvous ---------------------------------------------------------
 
@@ -737,7 +725,7 @@ class _TcpPool:
                         f"worker {rank}: unexpected message {msg[0]!r}"
                     )
                 conn.settimeout(None)
-                _bound_sends(conn, cluster.timeout)
+                set_send_timeout(conn, cluster.timeout)
         except BaseException:
             for conn in ranks.values():
                 try:
@@ -825,145 +813,6 @@ class _TcpPool:
         cfg.update(extra)
         return cfg
 
-    # -- jobs ---------------------------------------------------------------
-
-    def _broadcast_ctl(self, seq: int, payload: Any) -> None:
-        """Best-effort mid-job control frame to every worker."""
-        for conn in self._ctrl:
-            try:
-                _send_msg(conn, ("ctl", seq, payload))
-            except (OSError, TransportError):  # pragma: no cover - dying pool
-                pass
-
-    def run_job(self, prepared: PreparedJob) -> ClusterResult:
-        """Dispatch one prepared job to every worker and gather the result.
-
-        While collecting, worker heartbeats feed a :class:`JobMonitor`
-        (exactly like the process pool): a worker silent past the
-        cluster's ``failure_timeout`` is declared dead immediately, and
-        jobs prepared with a speculation config get straggling map
-        shards backed up on finished workers via ``("ctl", ...)``
-        broadcasts.
-
-        Raises:
-            WorkerFailure: a worker died or went silent mid-job
-                (infrastructure — the session layer may retry); the pool
-                is torn down and the next job waits for workers to
-                rejoin the standing rendezvous.
-            RuntimeError: a worker's program raised (a genuine job bug,
-                never retried) or the job timed out; the worker's
-                traceback text is included.
-        """
-        k = self.size
-        prepared.check_size(k)
-        if not self.running:
-            self.close()
-            self._start()
-        seq = self._job_seq
-        self._job_seq += 1
-        try:
-            for rank, conn in enumerate(self._ctrl):
-                _send_msg(
-                    conn, ("job", seq, prepared.builder, prepared.payloads[rank])
-                )
-        except (OSError, TransportError) as exc:
-            self.close()
-            raise WorkerFailure(
-                -1, "dispatch", f"worker pool died while dispatching job: {exc}"
-            ) from exc
-
-        results: List[Any] = [None] * k
-        times: List[Dict[str, float]] = [dict() for _ in range(k)]
-        traffic = TrafficLog()
-        stages: List[str] = []
-        program_errors: List[str] = []
-        infra_failures: List[Tuple[int, str, str]] = []  # (rank, stage, cause)
-        pending: Dict[socket.socket, int] = {
-            conn: rank for rank, conn in enumerate(self._ctrl)
-        }
-        monitor = JobMonitor(
-            k, self._cluster.failure_timeout, prepared.speculation
-        )
-        deadline = time.monotonic() + self._cluster.timeout
-        # After the first failure, drain reports for a short grace window
-        # so a root-cause program error is classified before raising (see
-        # repro.runtime.errors.job_failure).
-        grace_deadline: Optional[float] = None
-        while pending:
-            now = time.monotonic()
-            if now >= deadline:
-                if not (program_errors or infra_failures):
-                    infra_failures.append((
-                        -1,
-                        "unknown",
-                        f"job timed out after {self._cluster.timeout}s "
-                        f"(ranks {sorted(pending.values())} pending)",
-                    ))
-                break
-            if grace_deadline is not None and now >= grace_deadline:
-                break
-            if self._cluster.heartbeat_interval:
-                try:
-                    monitor.check_liveness(pending.values())
-                except WorkerFailure as failure:
-                    infra_failures.append(
-                        (failure.rank, failure.stage, failure.cause)
-                    )
-                    for conn, rank in list(pending.items()):
-                        if rank == failure.rank:
-                            del pending[conn]
-            for straggler, backup in monitor.speculation_directives():
-                self._broadcast_ctl(seq, ("speculate", straggler, backup))
-            if (program_errors or infra_failures) and grace_deadline is None:
-                grace_deadline = time.monotonic() + min(
-                    1.0, self._cluster.timeout
-                )
-            wait_for = monitor.poll_timeout(
-                min(deadline, grace_deadline or deadline) - time.monotonic()
-            )
-            for conn in _select(list(pending), wait_for)[0]:
-                rank = pending[conn]
-                conn.settimeout(max(1.0, deadline - time.monotonic()))
-                try:
-                    msg = _recv_msg(conn)
-                except (OSError, TransportError) as exc:
-                    del pending[conn]
-                    infra_failures.append((
-                        rank,
-                        monitor.stage_of(rank),
-                        f"worker died mid-job: {exc}",
-                    ))
-                    continue
-                finally:
-                    conn.settimeout(None)
-                if msg[0] == "hb":
-                    if msg[2] == seq:
-                        monitor.heartbeat(msg[1], msg[3])
-                    continue
-                del pending[conn]
-                monitor.result(rank)
-                if msg[0] == "comm_error":
-                    infra_failures.append((
-                        msg[1],
-                        monitor.stage_of(msg[1]),
-                        f"comm failure:\n{msg[3]}",
-                    ))
-                    continue
-                if msg[0] != "ok":
-                    program_errors.append(f"worker {msg[1]}:\n{msg[3]}")
-                    continue
-                _, _, wseq, payload, sw_times, records, prog_stages = msg
-                assert wseq == seq, f"job sequence mismatch: {wseq} != {seq}"
-                results[rank] = payload
-                times[rank] = sw_times
-                traffic.extend(records)
-                if prog_stages and not stages:
-                    stages = prog_stages
-        if program_errors or infra_failures:
-            self.close()
-            raise job_failure("TcpCluster", program_errors, infra_failures)
-        return assemble_cluster_result(results, times, traffic, stages)
-
     def close(self) -> None:
         """Stop the workers (idempotent); a later job re-rendezvouses.
 
@@ -981,26 +830,3 @@ class _TcpPool:
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
         self._ctrl = []
-
-    def __enter__(self) -> "_TcpPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _select(
-    socks: List[socket.socket], timeout: float
-) -> Tuple[List[socket.socket], List, List]:
-    """``select.select`` on sockets via :mod:`selectors` (no fd limit)."""
-    sel = selectors.DefaultSelector()
-    try:
-        for sock in socks:
-            sel.register(sock, selectors.EVENT_READ)
-        return (
-            [key.fileobj for key, _ in sel.select(timeout)],  # type: ignore[misc]
-            [],
-            [],
-        )
-    finally:
-        sel.close()

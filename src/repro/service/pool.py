@@ -68,13 +68,16 @@ from repro.runtime.tcp import (
     PROTOCOL_VERSION,
     _TAG_HELLO,
     TcpCluster,
-    _bound_sends,
     _recv_msg,
-    _select,
     _send_msg,
 )
 from repro.runtime.traffic import TrafficLog
-from repro.runtime.transport import TransportError, recv_frame
+from repro.runtime.transport import (
+    TransportError,
+    recv_frame,
+    set_send_timeout,
+    wait_readable,
+)
 
 __all__ = ["ServicePool", "SubsetJob"]
 
@@ -352,7 +355,7 @@ class ServicePool:
             wait_on = list(socks) + [self._wake_r]
             if listener.fileno() >= 0:
                 wait_on.append(listener)
-            readable = _select(wait_on, max(0.0, timeout))[0]
+            readable = wait_readable(wait_on, max(0.0, timeout))
             for sock in readable:
                 if sock is self._wake_r:
                     try:
@@ -606,7 +609,7 @@ class ServicePool:
         if msg[0] != "ready":
             raise RuntimeError(f"joiner sent {msg[0]!r}, expected ready")
         conn.settimeout(None)
-        _bound_sends(conn, cluster.timeout)
+        set_send_timeout(conn, cluster.timeout)
         with self._lock:
             if self._closed:
                 conn.close()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.runtime.api import MulticastMode
@@ -52,6 +54,14 @@ class _Crasher(NodeProgram):
             self.comm.barrier()
 
 
+class _Sleeper(NodeProgram):
+    STAGES = ["nap"]
+
+    def run(self):
+        with self.stage("nap"):
+            time.sleep(60)
+
+
 class TestProcessCluster:
     def test_all_to_all(self):
         res = ProcessCluster(4, timeout=60).run(_AllToAll)
@@ -77,6 +87,13 @@ class TestProcessCluster:
     def test_worker_failure_reported(self):
         with pytest.raises(RuntimeError, match="worker 0"):
             ProcessCluster(2, timeout=30).run(_Crasher)
+
+    def test_one_deadline_for_all_hung_workers(self):
+        """Three hung workers share one deadline, not one timeout each."""
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"ranks \[0, 1, 2\] pending"):
+            ProcessCluster(3, timeout=1).run(_Sleeper)
+        assert time.monotonic() - start < 2.0
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
