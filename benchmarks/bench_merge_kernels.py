@@ -8,8 +8,11 @@ isolation, on the same data through both implementations:
 * **duplicates** — the same merge on duplicate-heavy keys, where the
   OVC column's distinct-group compression does the work;
 * **external** — :func:`~repro.kvpairs.spill.merge_runs` over runs
-  spilled by :class:`~repro.kvpairs.spill.ExternalSorter` (the ovc lane
-  reads persisted ``.ovc`` sidecars instead of recomputing codes);
+  spilled by :class:`~repro.kvpairs.spill.ExternalSorter`.  Both lanes
+  walk the same full-window rounds; the ovc lane merges each round with
+  one stable sort of the concatenated heads (the runs' ``.ovc`` sidecars
+  only let it skip re-validating sortedness), the classic lane with the
+  seed pairwise tournament;
 * **partition** — map-side :func:`~repro.core.mapper.hash_file`
   (radix-table partition indices + radix grouping vs ``searchsorted`` +
   ``int64`` stable argsort).

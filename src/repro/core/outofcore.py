@@ -27,7 +27,9 @@ Budget split rationale (fractions of ``memory_budget``):
 * spiller / sorter flush threshold 1/2 — the stable sort of a flushing
   chunk transiently holds chunk + sorted copy, bounding Map at ~3/4;
 * merge windows 1/4 split across the runs being merged, output chunks
-  1/8 — Reduce holds windows + one output chunk ≤ 1/2.
+  1/8 — one merge round transiently holds the round's heads (≤ the
+  windows), their concatenation and the sorted copy the output chunks
+  are cut from, bounding Reduce at ~3/4 like Map's flushing sort.
 
 The split is deterministic from the budget alone, so every replica of a
 coded file chunks it identically — a requirement for byte-identical XOR

@@ -8,10 +8,16 @@ writes, read back as mmap-backed zero-copy ``RecordBatch`` views (NumPy
 keeps the mapping alive, so views stay valid after the file object is
 closed and even after the run file is unlinked).
 
-:func:`merge_runs` is the streaming external k-way merge: it walks every
-run in bounded windows and repeatedly emits the records at or below the
-smallest loaded *window-end* key, merging each round with the existing
-vectorized :func:`~repro.kvpairs.sorting.merge_sorted` tournament.  The
+:func:`merge_runs` is the streaming external k-way merge.  It works in
+**full-window rounds**: every live run is topped back up to one full
+window of unconsumed records, and each round emits every loaded record
+at or below the smallest loaded *window-end* key — so the emitted key
+range advances by about one window *width* per round, not one window
+*count*.  In the default kernel mode a round is one stable
+:func:`~repro.kvpairs.sorting.sort_batch` of the round's heads
+concatenated in run-priority order (a stable sort of that concatenation
+*is* the stable merge); ``REPRO_KERNELS=classic`` merges the round with
+the seed :func:`~repro.kvpairs.sorting.merge_sorted` tournament.  The
 merge is **stable across runs** — ties go to the earlier run, and within
 a run to the earlier record — so merging the stably-sorted chunks of a
 stream, in chunk order, reproduces byte-for-byte what one stable in-RAM
@@ -24,17 +30,13 @@ default — see :mod:`repro.kvpairs.kernels`), every *sorted* run file is
 written together with a ``<run>.ovc`` sidecar: the run's offset-value
 code column as packed little-endian ``uint16``, one code per record, in
 record order (code ``i`` is record ``i``'s code relative to record
-``i-1``; code 0 is relative to the virtual minus-infinity key).  Readers
-mmap the sidecar and slice it in lockstep with the record windows, so
-re-merging a spilled run never recomputes codes — and because the
-column was computed over the whole run at write time, a window's first
-code is automatically relative to the previous window's last record,
-which is exactly the cross-window carry the merge needs.  Runs without
-a sidecar (resident runs, foreign files) get their codes computed per
-window as they are loaded, with the same predecessor carry; that
-computation doubles as the per-window sortedness validation, so
-:func:`merge_runs` calls the merge with ``check=False`` and still keeps
-the "unsorted runs raise" contract.
+``i-1``; code 0 is relative to the virtual minus-infinity key).  In
+:func:`merge_runs` the sidecar only vouches for sortedness: a file run
+that has one skips the per-window validation.  Every other run (resident
+runs, foreign files, classic mode) is checked once per record as its
+windows load — an ``is_sorted`` scan plus the window-boundary key check —
+so rounds merge with ``check=False`` and still keep the "unsorted runs
+raise" contract.
 
 :class:`ExternalSorter` packages the write side of that contract: feed it
 batches in stream order, it accumulates up to a chunk budget, stable-sorts
@@ -66,7 +68,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from repro.kvpairs import kernels
-from repro.kvpairs.kernels import OVC_BYTES, OVC_DTYPE, RunColumns
+from repro.kvpairs.kernels import OVC_BYTES, OVC_DTYPE
 from repro.kvpairs.records import KEY_BYTES, RECORD_BYTES, RecordBatch
 from repro.kvpairs.sorting import is_sorted, merge_sorted, sort_batch
 from repro.utils.residency import ResidencyMeter
@@ -381,26 +383,21 @@ def read_blob(path: str) -> memoryview:
 # ---------------------------------------------------------------------------
 
 
-def _part_nbytes(part: Union[RecordBatch, RunColumns]) -> int:
-    if isinstance(part, RunColumns):
-        return part.batch.nbytes + part.hi.nbytes + part.codes.nbytes
-    return part.nbytes
-
-
 class _Cursor:
     """Bounded, validating read position into one sorted run.
 
-    Pulls the run in windows and validates each window exactly once as
-    it loads (classic: an ``is_sorted`` scan plus the window-boundary
-    key check; ovc: OVC code computation, whose inversion check *is* the
-    validation — or a trusted persisted sidecar, sliced in lockstep).
-    Downstream merges therefore run with ``check=False`` while the
-    documented "unsorted runs raise ``ValueError``" contract holds.
+    Holds at most one window of loaded-but-unconsumed records (plus the
+    boundary ties :meth:`extend_past` pulls) and validates each record
+    once as it loads: an ``is_sorted`` scan plus the window-boundary key
+    check.  File runs with a persisted ``.ovc`` sidecar skip the check in
+    the default kernel mode — the sidecar vouches that the run was
+    written sorted.  Rounds therefore merge with ``check=False`` while
+    the documented "unsorted runs raise ``ValueError``" contract holds.
     """
 
     __slots__ = (
-        "_source", "_codes_src", "_window", "_pos", "_n", "_meter",
-        "_what", "_ovc", "_last_key", "head",
+        "_source", "_window", "_pos", "_n", "_meter", "_what", "_check",
+        "_last_key", "head",
     )
 
     def __init__(
@@ -410,114 +407,73 @@ class _Cursor:
         meter: Optional[ResidencyMeter],
         index: int,
     ) -> None:
-        if window_records <= 0:
-            window_records = DEFAULT_WINDOW_RECORDS
-        self._ovc = kernels.use_ovc()
         self._source = run.load()
-        self._codes_src = run.load_codes() if self._ovc else None
         self._n = run.num_records
         self._window = window_records
         self._pos = 0
         self._meter = meter
         self._what = f"run {index}"
+        self._check = not (kernels.use_ovc() and run.load_codes() is not None)
         self._last_key: Optional[np.bytes_] = None
-        #: The loaded-but-unconsumed records (with columns in ovc mode).
-        self.head: Optional[Union[RecordBatch, RunColumns]] = None
+        #: The loaded-but-unconsumed records: always one contiguous view
+        #: of the run, so loading and consuming copy nothing.
+        self.head = RecordBatch.empty()
 
     @property
     def done(self) -> bool:
         return self._pos >= self._n
 
-    def _head_batch(self) -> RecordBatch:
-        return self.head.batch if self._ovc else self.head
-
-    def _pull(self) -> Optional[Union[RecordBatch, RunColumns]]:
-        """Load, validate, and meter the next window (None if exhausted)."""
-        if self.done:
-            return None
+    def _pull(self, count: int) -> None:
+        """Load, validate and meter the next ``count`` records into the head."""
         start = self._pos
-        stop = min(start + self._window, self._n)
-        self._pos = stop
-        window = self._source.slice(start, stop)
-        if self._ovc:
-            if self._codes_src is not None:
-                part: Union[RecordBatch, RunColumns] = RunColumns.from_batch(
-                    window, codes=self._codes_src[start:stop]
-                )
-            else:
-                base = (
-                    None
-                    if self._last_key is None
-                    else bytes(self._last_key).ljust(KEY_BYTES, b"\x00")
-                )
-                part = RunColumns.from_batch(
-                    window, base_key=base, check=True, what=self._what
-                )
-        else:
-            if not is_sorted(window) or (
-                self._last_key is not None
-                and window.keys[0] < self._last_key
-            ):
-                raise ValueError(f"{self._what} is not sorted")
-            part = window
+        self._pos = min(start + count, self._n)
+        window = self._source.slice(start, self._pos)
+        if self._check and (
+            not is_sorted(window)
+            or (self._last_key is not None and window.keys[0] < self._last_key)
+        ):
+            raise ValueError(f"{self._what} is not sorted")
         self._last_key = window.keys[-1]
         if self._meter is not None:
-            self._meter.charge(_part_nbytes(part), "merge.window")
-        return part
+            self._meter.charge(window.nbytes, "merge.window")
+        self.head = self._source.slice(start - len(self.head), self._pos)
 
     def refill(self) -> None:
-        """Ensure at least one unconsumed record is loaded (or exhausted)."""
-        while not self.done and (
-            self.head is None or len(self._head_batch()) == 0
-        ):
-            self.head = self._pull()
+        """Top the unconsumed head back up to one full window."""
+        want = self._window - len(self.head)
+        if want > 0 and not self.done:
+            self._pull(want)
 
     def extend_past(self, bound: np.bytes_) -> None:
-        """Load more windows until the last loaded key exceeds ``bound``.
+        """Load the records after the head whose keys tie with ``bound``.
 
         Needed for cross-run tie stability: a run whose loaded window *ends*
         exactly at the bound may continue with equal keys in the next
         window, and those must be emitted in the same round (before any
-        later run's equal keys get a chance to overtake them).
+        later run's equal keys get a chance to overtake them).  The tie
+        span is found by galloping over the run's keys, so only the ties
+        are loaded.
         """
-        assert self.head is not None
-        parts = [self.head]
-        while not self.done and self._tail_key(parts) <= bound:
-            nxt = self._pull()
-            if nxt is None:
+        count, step = 0, 1
+        while self._pos + count < self._n:
+            start = self._pos + count
+            peek = self._source.keys[start:start + step]
+            ties = int(np.searchsorted(peek, bound, side="right"))
+            count += ties
+            if ties < step:
                 break
-            parts.append(nxt)
-        if len(parts) > 1:
-            self.head = (
-                RunColumns.concat(parts)
-                if self._ovc
-                else RecordBatch.concat(parts)
-            )
+            step *= 2
+        if count:
+            self._pull(count)
 
-    def _tail_key(self, parts) -> np.bytes_:
-        last = parts[-1]
-        return (last.batch if self._ovc else last).keys[-1]
-
-    def take_upto(
-        self, bound: np.bytes_
-    ) -> Union[RecordBatch, RunColumns]:
+    def take_upto(self, bound: np.bytes_) -> RecordBatch:
         """Split off (and return) every loaded record with key <= ``bound``."""
-        assert self.head is not None
-        batch = self._head_batch()
-        cut = int(np.searchsorted(batch.keys, bound, side="right"))
-        head = self.head.slice(0, cut)
-        self.head = self.head.slice(cut, len(batch))
+        cut = int(np.searchsorted(self.head.keys, bound, side="right"))
+        taken = self.head.slice(0, cut)
+        self.head = self.head.slice(cut, len(self.head))
         if self._meter is not None:
-            self._meter.discharge(_part_nbytes(head))
-        return head
-
-    @property
-    def live(self) -> bool:
-        return self.head is not None and len(self._head_batch()) > 0
-
-    @property
-    def head_last_key(self) -> np.bytes_:
-        return self._head_batch().keys[-1]
+            self._meter.discharge(taken.nbytes)
+        return taken
 
 
 def merge_runs(
@@ -527,6 +483,15 @@ def merge_runs(
     meter: Optional[ResidencyMeter] = None,
 ) -> Iterator[RecordBatch]:
     """Stream-merge sorted runs into sorted output batches (stable).
+
+    Works in **full-window rounds**: every live run is topped back up to
+    one full window of unconsumed records, everything at or below the
+    smallest loaded window-end key is cut from each run, and the round is
+    merged at once.  In the default kernel mode that merge is one stable
+    :func:`~repro.kvpairs.sorting.sort_batch` of the heads concatenated
+    in run-priority order — a stable sort of that concatenation *is* the
+    stable merge.  ``REPRO_KERNELS=classic`` merges the round with the
+    pairwise :func:`~repro.kvpairs.sorting.merge_sorted` tournament.
 
     Args:
         runs: the sorted runs, **in priority order** — key ties are broken
@@ -543,8 +508,8 @@ def merge_runs(
         a re-chunking fast path with no merge work.
 
     Raises:
-        ValueError: if any run's records are found out of order (surfaced
-            by :func:`~repro.kvpairs.sorting.merge_sorted`).
+        ValueError: if any run's records are found out of order as its
+            windows load (sidecar-backed file runs are trusted).
     """
     runs = [_as_run(r) for r in runs]
     live_runs = [r for r in runs if r.num_records > 0]
@@ -567,32 +532,36 @@ def merge_runs(
             prev_last = chunk.keys[-1]
             yield chunk
         return
+    if window_records <= 0:
+        window_records = DEFAULT_WINDOW_RECORDS
+    sort_rounds = kernels.use_ovc()
     cursors = [
         _Cursor(r, window_records, meter, i) for i, r in enumerate(live_runs)
     ]
-    for c in cursors:
-        c.refill()
     while True:
-        active = [c for c in cursors if c.live]
+        for c in cursors:
+            c.refill()
+        active = [c for c in cursors if len(c.head)]
         if not active:
             return
         # The smallest loaded window-end key bounds what can be emitted:
         # every record <= bound across *all* runs is currently loaded
         # (after extend_past pulls the boundary ties), so one stable
-        # merge round emits them in globally correct, stable order.
-        bound = min(c.head_last_key for c in active)
+        # merge of the round emits them in globally correct, stable order.
+        bound = min(c.head.keys[-1] for c in active)
         for c in active:
             c.extend_past(bound)
         heads = [h for h in (c.take_upto(bound) for c in active) if len(h)]
-        if heads and isinstance(heads[0], RunColumns):
-            # Windows were validated (or sidecar-trusted) at load time and
-            # carry their columns — merge directly, no re-validation.
-            merged = kernels.merge_sorted_columns(heads).batch
+        if len(heads) == 1:
+            merged = heads[0]
+        elif sort_rounds:
+            merged = sort_batch(RecordBatch.concat(heads))
         else:
             merged = merge_sorted(heads, check=False)
+        if sort_rounds:
+            kernels.stats.merge_records += len(merged)
         yield from merged.iter_slices(out_records)
-        for c in cursors:
-            c.refill()
+        del merged  # release this round before the next one loads
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ on:
   ties crossing a merge-window boundary are pulled into the same round);
 * empty runs contribute nothing and never wedge the merge;
 * a single live run takes the no-compare re-chunking fast path;
+* across the lattice of run counts, windows, adversarial key families
+  and run storage, in both kernel modes, the output equals one stable
+  sort of the concatenated runs byte for byte;
+* every round tops each cursor up to a full window, so the round count
+  follows the window width, and each record is merged once;
+* an inversion at a window boundary raises like one inside a window;
 * mmap-backed run views stay valid after the backing file object is
   closed and even after the file is unlinked (NumPy holds the mapping);
 * ``ExternalSorter`` + ``merge_runs`` reproduce one stable in-RAM sort
@@ -20,10 +26,15 @@ on:
 from __future__ import annotations
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.kvpairs import kernels
+from repro.kvpairs.kernels import KERNELS_ENV, ovc_codes
 from repro.kvpairs.records import RECORD_BYTES, RecordBatch
 from repro.kvpairs.sorting import is_sorted, sort_batch
 from repro.kvpairs.spill import (
@@ -35,10 +46,21 @@ from repro.kvpairs.spill import (
     read_blob,
     read_run_file,
     spill_blob,
+    write_ovc_file,
     write_run_file,
 )
 from repro.kvpairs.teragen import teragen
 from repro.utils.residency import ResidencyMeter
+
+
+def _keyed_batch(keys):
+    """Records with the given ``(n, 10)`` uint8 keys and traceable values."""
+    n = len(keys)
+    values = np.zeros((n, 90), np.uint8)
+    values[:, :8] = (
+        np.arange(n, dtype=np.uint64).view(np.uint8).reshape(n, 8)
+    )
+    return RecordBatch.from_arrays(keys, values)
 
 
 def _dup_batch(n, key_levels, seed=0):
@@ -46,11 +68,7 @@ def _dup_batch(n, key_levels, seed=0):
     rng = np.random.default_rng(seed)
     keys = np.zeros((n, 10), np.uint8)
     keys[:, 0] = rng.integers(0, key_levels, size=n)
-    values = np.zeros((n, 90), np.uint8)
-    values[:, :8] = (
-        np.arange(n, dtype=np.uint64).view(np.uint8).reshape(n, 8)
-    )
-    return RecordBatch.from_arrays(keys, values)
+    return _keyed_batch(keys)
 
 
 class TestMergeRuns:
@@ -124,6 +142,146 @@ class TestMergeRuns:
         with pytest.raises(ValueError, match="not sorted"):
             # Sorted windows but a boundary violation between them.
             list(merge_runs([bad], out_records=1))
+
+
+def _lattice_stream(keyset, n, seed):
+    """``n`` records of one adversarial key family (see the lattice test)."""
+    if keyset == "teragen":
+        return teragen(n, seed=seed)
+    if keyset == "duplicates":
+        return _dup_batch(n, 3, seed=seed)
+    keys = np.zeros((n, 10), np.uint8)
+    if keyset == "prefix":
+        rng = np.random.default_rng(seed)
+        keys[:, :8] = np.frombuffer(b"SHAREDPR", np.uint8)
+        keys[:, 8:] = rng.integers(0, 4, size=(n, 2))
+    else:  # all-equal
+        keys[:] = 7
+    return _keyed_batch(keys)
+
+
+def _store_run(batch, kind, path):
+    """``batch`` as a resident run, a sidecar-backed file or a bare file."""
+    if kind == "resident":
+        return Run.resident(batch)
+    write_run_file(path, [batch])
+    if kind == "sidecar" and len(batch):
+        write_ovc_file(path, ovc_codes(batch, check=False))
+    return Run.from_file(path)
+
+
+@st.composite
+def _merge_cases(draw):
+    k = draw(st.integers(1, 30))
+    return dict(
+        window=draw(st.sampled_from([1, 7, 64, 873])),
+        keyset=draw(
+            st.sampled_from(["teragen", "duplicates", "prefix", "equal"])
+        ),
+        lengths=draw(st.lists(
+            st.one_of(st.just(0), st.integers(1, 30)), min_size=k, max_size=k
+        )),
+        kinds=draw(st.lists(
+            st.sampled_from(["resident", "sidecar", "bare"]),
+            min_size=k, max_size=k,
+        )),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+class TestMergeRunsLattice:
+    """``merge_runs`` equals one stable sort of its runs, in both modes."""
+
+    @pytest.mark.parametrize("mode", ["ovc", "classic"])
+    @settings(
+        derandomize=True,
+        max_examples=100,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=_merge_cases())
+    def test_matches_stable_sort_of_concat(self, mode, case, monkeypatch):
+        monkeypatch.setenv(KERNELS_ENV, mode)
+        lengths, window = case["lengths"], case["window"]
+        stream = _lattice_stream(case["keyset"], sum(lengths), case["seed"])
+        offsets = np.cumsum([0] + lengths)
+        batches = [
+            sort_batch(stream.slice(offsets[i], offsets[i + 1]))
+            for i in range(len(lengths))
+        ]
+        meter = ResidencyMeter()
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = [
+                _store_run(b, kind, os.path.join(tmp, f"run-{i}.bin"))
+                for i, (b, kind) in enumerate(zip(batches, case["kinds"]))
+            ]
+            out = list(merge_runs(
+                runs, window_records=window, out_records=11, meter=meter
+            ))
+        expect = sort_batch(RecordBatch.concat(batches))
+        assert RecordBatch.concat(out).to_bytes() == expect.to_bytes()
+        keys = stream.keys
+        if len(np.unique(keys)) == len(keys):
+            live = sum(1 for n in lengths if n)
+            assert meter.peak_resident_bytes <= (
+                live * (window + 1) * RECORD_BYTES
+            )
+
+
+class TestFullWindowRounds:
+    def test_rounds_advance_by_window_width(self, monkeypatch):
+        # 24 interleaved runs of 20 windows each: topping every cursor up
+        # each round emits ~one window per run per round, so the round
+        # count tracks the window *width*, not the total window count.
+        import repro.kvpairs.spill as spill
+
+        monkeypatch.setenv(KERNELS_ENV, "ovc")
+        k, per_run, window = 24, 2000, 100
+        stream = teragen(k * per_run, seed=13)
+        runs = [
+            sort_batch(stream.slice(i * per_run, (i + 1) * per_run))
+            for i in range(k)
+        ]
+        rounds = []
+
+        def counting_sort(batch):
+            rounds.append(len(batch))
+            return sort_batch(batch)
+
+        monkeypatch.setattr(spill, "sort_batch", counting_sort)
+        out = RecordBatch.concat(
+            list(merge_runs(runs, window_records=window, out_records=500))
+        )
+        assert out.to_bytes() == sort_batch(stream).to_bytes()
+        total_windows = k * per_run // window
+        assert 0 < len(rounds) <= total_windows // 4
+
+    def test_merge_records_counts_one_pass(self, monkeypatch):
+        monkeypatch.setenv(KERNELS_ENV, "ovc")
+        stream = teragen(3000, seed=14)
+        runs = [
+            sort_batch(stream.slice(i, i + 600)) for i in range(0, 3000, 600)
+        ]
+        kernels.stats.reset()
+        out = list(merge_runs(runs, window_records=64, out_records=100))
+        assert sum(len(b) for b in out) == len(stream)
+        assert kernels.stats.merge_records == len(stream)
+
+    @pytest.mark.parametrize("mode", ["ovc", "classic"])
+    @pytest.mark.parametrize("kind", ["resident", "bare"])
+    def test_inversion_at_window_boundary_rejected(
+        self, mode, kind, monkeypatch, tmp_path
+    ):
+        # Both windows are sorted on their own; only the boundary between
+        # them (window 2 starts below window 1's last key) is inverted.
+        monkeypatch.setenv(KERNELS_ENV, mode)
+        keys = np.zeros((8, 10), np.uint8)
+        keys[:, 0] = [10, 20, 30, 40, 15, 50, 60, 70]
+        bad = _store_run(_keyed_batch(keys), kind, str(tmp_path / "bad.bin"))
+        good = sort_batch(teragen(16, seed=15))
+        with pytest.raises(ValueError, match="not sorted"):
+            list(merge_runs([bad, good], window_records=4))
+        with pytest.raises(ValueError, match="not sorted"):
+            list(merge_runs([good, bad], window_records=4))
 
 
 class TestRunFiles:
