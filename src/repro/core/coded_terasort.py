@@ -37,6 +37,25 @@ plus waiting) to ``shuffle``, so the six stage times still sum to
 wall-clock; ``SortRun.meta["shuffle_span_seconds"]`` preserves the full
 overlapped span.  Both schedules produce byte-identical sorted output.
 
+Streaming overlap (``overlap=True``) runs Map / Encode / Shuffle / Decode
+/ Reduce as one event loop shaped around the paced link
+(:func:`~repro.runtime.program.overlapped_multicast_shuffle`):
+
+* **head** — between map steps only what the next multicast needs runs
+  (hash, serialize, encode, post), so a group's packet leaves the moment
+  its subsets are mapped;
+* **idle** — while the link is busy the loop decodes arrived groups and
+  runs the reduce in small units on keys alone
+  (:class:`~repro.kvpairs.frontier.KeyMergeFrontier`: argsort one
+  piece's key words, merge two adjacent key runs), blocking in
+  ``wait_any`` when there is nothing to do;
+* **tail** — after the last arrival the 100-byte records move exactly
+  once, in one scatter into the output partition.
+
+The in-memory overlap never sorts a piece's records, runs no merge
+rounds and concatenates nothing at the end; the out-of-core overlap
+keeps its spill-backed :class:`~repro.kvpairs.spill.IncrementalMerger`.
+
 The intermediate-value store is keyed by file *subset* (with
 ``batches_per_subset > 1``, the files of a subset are concatenated before
 encoding, as in the batched CMR scheme of [9]).
@@ -76,7 +95,7 @@ from repro.core.groups import (
     check_schedule,
     parallel_schedule_meta,
 )
-from repro.core.mapper import hash_file, map_node_coded
+from repro.core.mapper import hash_file, hash_retained, map_node_coded
 from repro.core.outofcore import (
     OutOfCorePlan,
     emit_output,
@@ -89,6 +108,7 @@ from repro.core.placement import CodedPlacement
 from repro.core.terasort import SortRun, _build_partitioner_from_source
 from repro.kvpairs import kernels
 from repro.kvpairs.datasource import DataSource, FileSource, as_source
+from repro.kvpairs.frontier import KeyMergeFrontier
 from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.sorting import sort_batch
 from repro.kvpairs.spill import (
@@ -259,9 +279,9 @@ class CodedTeraSortProgram(NodeProgram):
 
         Zero-copy end to end: parsed packets keep their payloads as views
         into the receive arenas, ``recover_intermediate`` decodes every
-        segment into one preallocated output buffer, and the batch wraps
-        that buffer read-only without copying (the Reduce-stage sort copies
-        into its own output anyway).
+        segment into one freshly allocated output buffer, and the batch
+        wraps that buffer read-only without copying — it never aliases a
+        receive arena, so a reduce may hold it as long as it likes.
         """
         packets = {
             sender: CodedPacket.from_bytes(raw)
@@ -333,18 +353,28 @@ class CodedTeraSortProgram(NodeProgram):
 
     def _run_overlap(self) -> RecordBatch:
         """Streaming overlap, in-memory: Map / Encode / Shuffle / Decode /
-        Reduce as one event loop.
+        Reduce as one event loop on the paced critical path.
 
-        Files are mapped one at a time; the moment a subset's last file
-        is hashed, its intermediate values are serialized and every group
-        whose ``needed`` subsets are now complete multicasts (posting
-        priority = the schedule's round order; no barriers).  Decoded
-        groups and own partition values feed an
-        :class:`~repro.kvpairs.spill.IncrementalMerger` whose slot order
-        replays the staged reduce concatenation — own store entries in
-        store order, then decoded groups in ``my_groups`` order — so the
-        final merge is byte-identical to the staged
-        ``sort_batch(concat(...))``.
+        * **Head** — files are mapped one at a time; the moment a
+          subset's last file is hashed its outbound values become the
+          encoder's byte views and every group whose ``needed`` subsets
+          are now complete is
+          encoded and multicast (posting priority = the schedule's round
+          order; no barriers).  Between map steps nothing else runs, so
+          the first packet leaves as early as the map allows.
+        * **Idle** — while the link is busy, the loop decodes each group
+          whose packets have all arrived and otherwise runs one unit of
+          the :class:`~repro.kvpairs.frontier.KeyMergeFrontier`: argsort
+          one piece's keys or merge two adjacent key runs.  The frontier
+          holds the own partition values (one slot per subset, in store
+          order) and the decoded groups (one slot each, in ``my_groups``
+          order) unsorted — the staged reduce's concatenation order, so
+          the result is byte-identical to its
+          ``sort_batch(concat(...))``.
+        * **Tail** — after the last packet arrives and every send has
+          completed, the serialized outbound store is released and the
+          frontier moves the records once, in one scatter into the
+          output (often already done in idle time).
         """
         rank = self.rank
         plan, my_groups, rounds, needed = self._codegen_overlap()
@@ -354,27 +384,32 @@ class CodedTeraSortProgram(NodeProgram):
         slot_of_group = {
             gidx: len(subset_order) + i for i, gidx in enumerate(my_groups)
         }
-        merger = IncrementalMerger(len(subset_order) + len(my_groups))
+        frontier = KeyMergeFrontier(len(subset_order) + len(my_groups))
 
         acc: Dict[Tuple[Subset, int], List[RecordBatch]] = {}
         completed: set = set()
-        serialized: Dict[Tuple[Subset, int], bytes] = {}
+        serialized: Dict[Tuple[Subset, int], memoryview] = {}
 
-        def lookup(subset: Subset, target: int) -> bytes:
+        def lookup(subset: Subset, target: int) -> memoryview:
             return serialized[(subset, target)]
 
         def complete_subset(subset: Subset) -> None:
-            """Seal a fully-mapped subset: serialize its outbound values
-            (encode) and feed its own partition into the merge (reduce)."""
+            """Seal a fully-mapped subset: expose its outbound values to
+            the encoder and hand its own partition value to the frontier."""
             completed.add(subset)
             for target in targets[subset]:
-                value = RecordBatch.concat(acc.pop((subset, target), []))
+                pieces = acc.pop((subset, target), [])
+                value = (
+                    pieces[0] if len(pieces) == 1
+                    else RecordBatch.concat(pieces)
+                )
                 if target == rank:
-                    with self.stage("reduce"):
-                        merger.feed(slot_of_own[subset], sort_batch(value))
+                    frontier.feed(slot_of_own[subset], value)
+                    frontier.close(slot_of_own[subset])
                 else:
-                    with self.stage("encode"):
-                        serialized[(subset, target)] = value.to_bytes()
+                    # The value owns its memory: the encoder reads it in
+                    # place, serialized without a copy.
+                    serialized[(subset, target)] = value.as_memoryview()
 
         fid_iter = iter(fids)
 
@@ -383,8 +418,12 @@ class CodedTeraSortProgram(NodeProgram):
             if fid is None:
                 return False
             subset = self.subsets[fid]
-            parts = hash_file(
-                as_source(self.files[fid]).load(), self.partitioner
+            # Only the retained partitions move, each once, into owned
+            # batches.
+            parts = hash_retained(
+                as_source(self.files[fid]).load(),
+                self.partitioner,
+                targets[subset],
             )
             for target in targets[subset]:
                 acc.setdefault((subset, target), []).append(parts[target])
@@ -398,14 +437,22 @@ class CodedTeraSortProgram(NodeProgram):
             return encode_packet(rank, plan.groups[gidx], lookup).to_parts()
 
         def consume(gidx: int, payloads: Dict[int, bytes]) -> None:
+            # recover_intermediate decodes into a fresh buffer, so the
+            # piece the frontier keeps never aliases a receive arena.
             batch = self._recover_group(plan, gidx, payloads, lookup)
-            # sort_batch copies out of the receive arena, so no payload
-            # view survives this call.
-            with self.stage("reduce"):
-                merger.feed(slot_of_group[gidx], sort_batch(batch))
+            frontier.feed(slot_of_group[gidx], batch)
+            frontier.close(slot_of_group[gidx])
 
         def group_ready(gidx: int) -> bool:
             return all(s in completed for s in needed[gidx])
+
+        def idle() -> bool:
+            if frontier.closed:
+                # Every group is decoded and every packet encoded: the
+                # outbound values are dead before the records move.
+                serialized.clear()
+            with self.stage("reduce"):
+                return frontier.step()
 
         self.shuffle_telemetry = overlapped_multicast_shuffle(
             self,
@@ -417,13 +464,12 @@ class CodedTeraSortProgram(NodeProgram):
             consume,
             map_step,
             group_ready,
+            idle,
         )
 
+        serialized.clear()
         with self.stage("reduce"):
-            chunks = list(merger.finish())
-            return (
-                RecordBatch.concat(chunks) if chunks else RecordBatch.empty()
-            )
+            return frontier.finish()
 
     # -- bounded-memory pipeline --------------------------------------------
 

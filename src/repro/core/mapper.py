@@ -15,14 +15,34 @@ locally.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.partitioner import RangePartitioner
 from repro.kvpairs import kernels
-from repro.kvpairs.records import RecordBatch
+from repro.kvpairs.records import RECORD_BLOB, RECORD_DTYPE, RecordBatch
 from repro.utils.subsets import Subset
+
+
+def _partition_order(
+    data: RecordBatch, partitioner: RangePartitioner
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Stable grouping of ``data`` by partition: ``(order, bounds)``.
+
+    ``order[bounds[j]:bounds[j + 1]]`` are the row indices of partition
+    ``j``, in input order.
+    """
+    k = partitioner.num_partitions
+    idx = partitioner.partition_indices(data)
+    if kernels.use_ovc():
+        order, counts = kernels.group_by_partition(idx, k)
+    else:
+        order = np.argsort(idx, kind="stable")
+        counts = np.bincount(idx, minlength=k)
+    bounds = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    return order, bounds
 
 
 def hash_file(
@@ -33,21 +53,36 @@ def hash_file(
     Returns:
         ``out[j] = I^j`` — the records of ``data`` whose key falls in
         partition ``j``; concatenating all outputs is a permutation of the
-        input.
+        input.  The outputs are views into one grouped copy of ``data``.
     """
     k = partitioner.num_partitions
-    n = len(data)
-    if n == 0:
+    if len(data) == 0:
         return [RecordBatch.empty() for _ in range(k)]
-    idx = partitioner.partition_indices(data)
-    if kernels.use_ovc():
-        order, counts = kernels.group_by_partition(idx, k)
-    else:
-        order = np.argsort(idx, kind="stable")
-        counts = np.bincount(idx, minlength=k)
+    order, bounds = _partition_order(data, partitioner)
     grouped = data.take(order)
-    offsets = np.cumsum(counts)[:-1]
-    return grouped.split_at([int(o) for o in offsets])
+    return grouped.split_at([int(o) for o in bounds[1:-1]])
+
+
+def hash_retained(
+    data: RecordBatch, partitioner: RangePartitioner, targets: Sequence[int]
+) -> Dict[int, RecordBatch]:
+    """Hash ``data`` but keep only the partitions in ``targets``.
+
+    ``out[t]`` equals ``hash_file(data, partitioner)[t]`` byte for byte,
+    as an owned batch: each retained record moves once (one gather per
+    target) and discarded records never move — the coded retention rule
+    without a grouped copy of the whole file to cut views from.
+    """
+    if len(data) == 0:
+        return {t: RecordBatch.empty() for t in targets}
+    order, bounds = _partition_order(data, partitioner)
+    blob = data.array.view(RECORD_BLOB)
+    return {
+        t: RecordBatch(
+            blob[order[bounds[t]:bounds[t + 1]]].view(RECORD_DTYPE)
+        )
+        for t in targets
+    }
 
 
 def map_node_uncoded(
@@ -83,13 +118,15 @@ def map_node_coded(
             raise ValueError(
                 f"node {node} asked to map file {file_id} of subset {subset}"
             )
-        parts = hash_file(data, partitioner)
         in_subset = set(subset)
-        retained: Dict[int, RecordBatch] = {node: parts[node]}
-        for j in range(partitioner.num_partitions):
-            if j not in in_subset:
-                retained[j] = parts[j]
-        kept[file_id] = retained
+        kept[file_id] = hash_retained(
+            data,
+            partitioner,
+            [node] + [
+                j for j in range(partitioner.num_partitions)
+                if j not in in_subset
+            ],
+        )
     return kept
 
 

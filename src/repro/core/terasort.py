@@ -57,6 +57,7 @@ from repro.core.outofcore import (
 from repro.core.partitioner import RangePartitioner
 from repro.core.placement import UncodedPlacement
 from repro.kvpairs.datasource import DataSource, FileSource, InlineSource, as_source
+from repro.kvpairs.frontier import KeyMergeFrontier
 from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.serialization import (
     pack_batch_parts,
@@ -72,7 +73,7 @@ from repro.kvpairs.spill import (
     SpillDir,
     merge_runs,
 )
-from repro.runtime.api import Comm
+from repro.runtime.api import Comm, ConditionRequest
 from repro.runtime.program import (
     ClusterResult,
     NodeProgram,
@@ -230,25 +231,34 @@ class TeraSortProgram(NodeProgram):
     def _run_overlap(self) -> RecordBatch:
         """In-memory TeraSort with map↔shuffle↔reduce streaming overlap.
 
-        One single-threaded event loop: each map window's partition
-        chunks are posted as non-blocking sends the moment the window
-        completes, and arriving chunks are sorted and fed into the
-        incremental merge frontier between windows — so communication
-        rides behind map compute on the send side and behind merge
-        compute on the receive side, and the final merge only has the
-        leftovers.  Byte-identity with the plain path: one stable argsort
-        per window makes the windowed map equal the whole-shard map per
-        partition (the speculation path's invariant), and the stable
-        merge over [own windows, then each sender's windows in rank
-        order] reproduces the plain path's stable
-        ``sort_batch(concat([own] + incoming))`` exactly.
+        One single-threaded event loop in three phases:
+
+        * **Head** — each map window's partition chunks are posted as
+          non-blocking sends the moment the window is hashed; between
+          windows the loop only takes in chunks that have already
+          arrived (unpacked out of their receive arenas into owned
+          pieces).
+        * **Idle** — after the last window, while chunks are still in
+          flight, the loop takes in arrivals and otherwise runs one unit
+          of the :class:`~repro.kvpairs.frontier.KeyMergeFrontier`
+          (argsort one piece's keys or merge two adjacent key runs),
+          blocking in ``wait_any`` when neither is possible.
+        * **Tail** — once every sender's end frame has arrived and every
+          send has completed, the frontier moves the records once, in
+          one scatter into the output.
+
+        Byte-identity with the plain path: one stable argsort per window
+        makes the windowed map equal the whole-shard map per partition
+        (the speculation path's invariant), and the frontier's slots —
+        own windows, then each sender's chunks in rank order — replay the
+        plain path's stable ``sort_batch(concat([own] + incoming))``.
         """
         k = self.size
         rank = self.rank
         comm = self.comm
         senders = [s for s in range(k) if s != rank]
         slot_of = {s: 1 + i for i, s in enumerate(senders)}
-        merger = IncrementalMerger(k)
+        frontier = KeyMergeFrontier(k)
         send_reqs: List[Tuple[Any, Any]] = []
         end_frame = bytes([_FRAME_END])
 
@@ -257,7 +267,7 @@ class TeraSortProgram(NodeProgram):
                 s: comm.irecv(s, SHUFFLE_TAG, copy=False) for s in senders
             }
 
-            def poll_arrivals() -> bool:
+            def take_arrivals() -> bool:
                 progressed = False
                 for s in list(recvs):
                     req = recvs[s]
@@ -267,20 +277,18 @@ class TeraSortProgram(NodeProgram):
                     progressed = True
                     if payload[0] == _FRAME_END:
                         del recvs[s]
+                        frontier.close(slot_of[s])
                         continue
                     with self.stage("unpack"):
-                        tag, batch = unpack_batch(
-                            memoryview(payload)[1:], copy=False
-                        )
+                        # copy=True: the frontier holds pieces until the
+                        # final scatter, so none may alias the arena.
+                        tag, batch = unpack_batch(memoryview(payload)[1:])
                         if tag != s:
                             raise RuntimeError(
                                 f"overlap chunk tag {tag} does not match "
                                 f"sender {s}"
                             )
-                    with self.stage("reduce"):
-                        # sort_batch copies out of the receive arena, so
-                        # the payload view is not retained past the call.
-                        merger.feed(slot_of[s], sort_batch(batch))
+                    frontier.feed(slot_of[s], batch)
                     recvs[s] = comm.irecv(s, SHUFFLE_TAG, copy=False)
                 # Drop completed sends (their frame buffers with them).
                 send_reqs[:] = [
@@ -292,6 +300,8 @@ class TeraSortProgram(NodeProgram):
             for window in self.source.iter_batches(window_records):
                 with self.stage("map"):
                     wparts = hash_file(window, self.partitioner)
+                    # Owned copy: a view would pin the whole window.
+                    frontier.feed(0, wparts[rank].copy())
                 with self.stage("pack"):
                     frames = {
                         dst: [bytes([_FRAME_CHUNK]),
@@ -303,24 +313,26 @@ class TeraSortProgram(NodeProgram):
                     send_reqs.append(
                         (comm.isend(dst, SHUFFLE_TAG, frame), frame)
                     )
-                with self.stage("reduce"):
-                    merger.feed(0, sort_batch(wparts[rank]))
                 self.fault_checkpoint()
-                poll_arrivals()
+                take_arrivals()
+            frontier.close(0)
             for dst in senders:
                 send_reqs.append(
                     (comm.isend(dst, SHUFFLE_TAG, end_frame), end_frame)
                 )
             while recvs or send_reqs:
-                if not poll_arrivals():
-                    time.sleep(0.0005)
+                if take_arrivals():
+                    continue
+                with self.stage("reduce"):
+                    if frontier.step():
+                        continue
+                comm.wait_any(
+                    list(recvs.values()) + [req for req, _ in send_reqs]
+                )
         export_overlap(self, scope)
 
         with self.stage("reduce"):
-            chunks = list(merger.finish())
-            return (
-                RecordBatch.concat(chunks) if chunks else RecordBatch.empty()
-            )
+            return frontier.finish()
 
     # -- speculative map re-execution ---------------------------------------
 
@@ -480,11 +492,21 @@ class TeraSortProgram(NodeProgram):
                 fetch_own_from, SPEC_DATA_TAG + rank, copy=False
             )
 
+        def duty_due() -> Optional[int]:
+            duty = control.backup_duty(rank)
+            if duty is None or duty == rank or duty in duty_parts:
+                return None
+            return duty
+
+        # Completes when the driver names this rank as a backup (the
+        # delivery wakes wait_any).
+        duty_req = ConditionRequest(comm, lambda: duty_due() is not None)
+
         while pending or spec_reqs or own_req is not None:
             progressed = False
 
-            duty = control.backup_duty(rank)
-            if duty is not None and duty != rank and duty not in duty_parts:
+            duty = duty_due()
+            if duty is not None:
                 if duty in pending:
                     duty_parts[duty] = self._run_backup_duty(
                         duty, primary[duty]
@@ -537,7 +559,11 @@ class TeraSortProgram(NodeProgram):
                 progressed = True
 
             if not progressed:
-                time.sleep(0.0005)
+                waiting = [primary[s] for s in pending]
+                waiting += spec_reqs.values()
+                if own_req is not None:
+                    waiting.append(own_req)
+                comm.wait_any(waiting + [duty_req])
 
         return raw_frames, local_batches, own_raw
 
@@ -786,7 +812,10 @@ class TeraSortProgram(NodeProgram):
                     )
                 while recvs or send_reqs:
                     if not poll_arrivals():
-                        time.sleep(0.0005)
+                        comm.wait_any(
+                            list(recvs.values())
+                            + [req for req, _ in send_reqs]
+                        )
             export_overlap(self, scope)
 
             with self.stage("reduce"):

@@ -33,6 +33,11 @@ RECORD_BYTES = KEY_BYTES + VALUE_BYTES
 RECORD_DTYPE = np.dtype([("key", f"S{KEY_BYTES}"), ("value", f"S{VALUE_BYTES}")])
 assert RECORD_DTYPE.itemsize == RECORD_BYTES
 
+#: One record as an opaque 100-byte blob.  Gathers and scatters through
+#: a ``view(RECORD_BLOB)`` move whole items without per-field work,
+#: several times faster than fancy indexing on :data:`RECORD_DTYPE`.
+RECORD_BLOB = np.dtype((np.void, RECORD_BYTES))
+
 
 class RecordBatch:
     """An immutable-by-convention batch of 100-byte KV records.

@@ -643,7 +643,7 @@ class ExternalSorter:
 
 
 # ---------------------------------------------------------------------------
-# Incremental merge frontier (streaming-overlap reduce side).
+# Incremental merge frontier (out-of-core streaming-overlap reduce side).
 # ---------------------------------------------------------------------------
 
 
@@ -694,8 +694,10 @@ class SortedRunWriter:
 class IncrementalMerger:
     """Merge frontier that starts merge work at first arrival.
 
-    The shuffle ↔ reduce overlap primitive: sorted runs are fed into
-    priority **slots** as they arrive (slot index = the run's position in
+    The out-of-core overlap's shuffle ↔ reduce primitive (the in-memory
+    overlapped sorts use :class:`~repro.kvpairs.frontier.KeyMergeFrontier`,
+    which merges keys only and moves records once): sorted runs are fed
+    into priority **slots** as they arrive (slot index = the run's position in
     the serial reduce's priority order; runs within a slot arrive in
     stream order), and the merger eagerly pre-merges *adjacent* runs
     within a slot whenever the stack top grows to within ``eager_factor``

@@ -29,6 +29,12 @@ Requests must eventually be waited (or tested to completion): an abandoned
 receiving request strands its message, and in TREE mode an abandoned
 interior relay stalls that subtree.
 
+Event loops block in :meth:`Comm.wait_any` (``MPI_Waitany``) instead of
+sleep-polling: it re-tests a batch of requests whenever the backend's
+inbound mailbox changes (a frame lands, a peer's channel closes) or an
+async send / relay completes, and returns the index of the first
+completed request.
+
 Every user-level payload travels as a small framing header plus one or more
 chunks of at most ``chunk_bytes`` each, so a large transfer never occupies
 a backend channel atomically and rate pacing / progress interleaving work
@@ -81,6 +87,7 @@ import time
 from abc import ABC, abstractmethod
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
+from repro.runtime.mailbox import Mailbox
 from repro.runtime.traffic import TrafficLog
 from repro.testing import faults
 from repro.utils import copytrack
@@ -248,19 +255,30 @@ class _FutureRequest(Request):
     completes them with an error through the relay closure instead.
     """
 
-    def __init__(self, default_timeout: Optional[float] = None) -> None:
+    def __init__(
+        self,
+        default_timeout: Optional[float] = None,
+        on_done: Optional[Callable[[], None]] = None,
+    ) -> None:
         self._event = threading.Event()
         self._value: Optional[bytes] = None
         self._error: Optional[BaseException] = None
         self._default_timeout = default_timeout
+        # Wakes the owning endpoint's wait_any (the worker thread sets the
+        # event; the program thread may be blocked on the mailbox).
+        self._on_done = on_done
 
     def _set(self, value: Optional[bytes]) -> None:
         self._value = value
         self._event.set()
+        if self._on_done is not None:
+            self._on_done()
 
     def _fail(self, exc: BaseException) -> None:
         self._error = exc
         self._event.set()
+        if self._on_done is not None:
+            self._on_done()
 
     def wait(self, timeout: Optional[float] = None) -> Optional[bytes]:
         if timeout is None:
@@ -277,6 +295,28 @@ class _FutureRequest(Request):
         if self._error is not None:
             raise CommError(f"async operation failed: {self._error}") from self._error
         return True
+
+
+class ConditionRequest(Request):
+    """A request that completes once ``predicate()`` holds.
+
+    Lets an event loop wait for state that is not a message (a driver
+    directive) in the same :meth:`Comm.wait_any` call as its receives.
+    ``wait_any`` re-tests it on every wake, so whoever makes the predicate
+    true must call :meth:`Comm.wake` afterwards.
+    """
+
+    def __init__(self, comm: "Comm", predicate: Callable[[], bool]) -> None:
+        self._comm = comm
+        self._predicate = predicate
+
+    def test(self) -> bool:
+        return bool(self._predicate())
+
+    def wait(self, timeout: Optional[float] = None) -> Optional[bytes]:
+        if self._comm.wait_any([self], timeout) is None:
+            raise CommError("condition wait timed out")
+        return None
 
 
 class _RecvRequest(Request):
@@ -529,7 +569,7 @@ class Comm(ABC):
 
     def _spawn(self, fn: Callable[[], Optional[bytes]]) -> Request:
         """Run ``fn`` on a fresh daemon thread (tree-relay ibcasts)."""
-        req = _FutureRequest()
+        req = _FutureRequest(on_done=self.wake)
 
         def runner() -> None:
             try:
@@ -544,6 +584,64 @@ class Comm(ABC):
 
     def _close_async(self) -> None:
         """Stop backend async helpers; called once the node program ends."""
+
+    def _inbox(self) -> Optional[Mailbox]:
+        """Backend hook: the mailbox this endpoint's inbound frames land in.
+
+        :meth:`wait_any` sleeps on its change counter.  Backends without
+        one cannot block in ``wait_any``.
+        """
+        return None
+
+    # -- waiting on many requests ------------------------------------------------
+
+    def wake(self) -> None:
+        """Make every :meth:`wait_any` blocked on this endpoint re-test.
+
+        Called from other threads when something a waiter may care about
+        changed without a frame arriving (an async send completed, a
+        driver directive was delivered).
+        """
+        inbox = self._inbox()
+        if inbox is not None:
+            inbox.kick()
+
+    def wait_any(
+        self, requests: Sequence[Request], timeout: Optional[float] = None
+    ) -> Optional[int]:
+        """Block until one of ``requests`` completes (``MPI_Waitany``).
+
+        Returns the index of the first request (in list order) whose
+        ``test()`` is true — the request is not consumed; call its
+        ``wait()`` for the payload — or ``None`` once ``timeout`` seconds
+        pass without a completion (``None`` waits without bound) and at
+        once for an empty list.  Between tests the caller's thread sleeps
+        on the inbound mailbox's condition and wakes on every frame,
+        channel closure and async completion — there is no sleep-poll.
+        Errors surface like in ``test()``: a request whose peer's channel
+        closed raises :class:`CommError`.
+        """
+        inbox = self._inbox()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            # Read the change counter *before* testing, so a frame landing
+            # between the tests and the sleep cuts the sleep short.
+            seen = inbox.version if inbox is not None else 0
+            for i, req in enumerate(requests):
+                if req.test():
+                    return i
+            if not requests:
+                return None
+            remaining = (
+                None if deadline is None else deadline - time.monotonic()
+            )
+            if remaining is not None and remaining <= 0:
+                return None
+            if inbox is None:
+                raise CommError(
+                    f"{type(self).__name__} has no inbox to wait on"
+                )
+            inbox.wait_changed(seen, remaining)
 
     # -- chunked framing --------------------------------------------------------
 

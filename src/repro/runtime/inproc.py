@@ -106,6 +106,9 @@ class _ThreadComm(Comm):
         except MailboxClosed as exc:
             raise CommError(str(exc)) from exc
 
+    def _inbox(self) -> Mailbox:
+        return self._mailboxes[self.rank]
+
     def _barrier_raw(self) -> None:
         try:
             self._barrier.wait(timeout=self._recv_timeout)

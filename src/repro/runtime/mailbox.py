@@ -15,6 +15,12 @@ patterns the runtime needs:
 ``close()`` (global) additionally fails *all* pending receives — used by the
 threaded backend when any node thread dies so the rest unblock promptly.
 
+Every change of state (a frame put, a source closed or reopened, an
+explicit :meth:`Mailbox.kick`) bumps a version counter under the
+mailbox's condition, so :meth:`Mailbox.wait_changed` lets an event loop
+sleep until *something* happened — the primitive behind
+:meth:`~repro.runtime.api.Comm.wait_any`, with no sleep-polling.
+
 Frames are opaque buffers (``bytes`` / ``bytearray`` / ``memoryview``) and
 are handed to the consumer *by reference* — the zero-copy ``copy=False``
 receive path slices views straight off whatever the producer enqueued (a
@@ -46,13 +52,47 @@ class Mailbox:
         self._queues: Dict[_MailKey, Deque[_Frame]] = {}
         self._closed = False
         self._closed_sources: Dict[int, str] = {}
+        self._version = 0
+
+    @property
+    def version(self) -> int:
+        """Change counter: bumped by every put, closure and kick."""
+        return self._version
+
+    def _changed(self) -> None:
+        # Caller holds the condition.
+        self._version += 1
+        self._cond.notify_all()
+
+    def kick(self) -> None:
+        """Wake every :meth:`wait_changed` caller without delivering a frame.
+
+        Completion sources that are not frames (an async send finishing,
+        a driver directive arriving) call this so a waiting event loop
+        re-tests its requests.
+        """
+        with self._cond:
+            self._changed()
+
+    def wait_changed(self, version: int, timeout: Optional[float]) -> bool:
+        """Block until :attr:`version` differs from ``version``.
+
+        Returns False if ``timeout`` seconds pass first (``None`` waits
+        without bound).  Reading ``version`` *before* testing whatever the
+        caller waits for closes the lost-wakeup race: a change in between
+        makes this return at once.
+        """
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: self._version != version, timeout
+            )
 
     def put(self, src: int, tag: int, payload: _Frame) -> None:
         with self._cond:
             if self._closed:
                 raise MailboxClosed("mailbox closed (peer died?)")
             self._queues.setdefault((src, tag), deque()).append(payload)
-            self._cond.notify_all()
+            self._changed()
 
     def get(self, src: int, tag: int, timeout: Optional[float]) -> _Frame:
         """Pop the next frame for ``(src, tag)``, blocking until one arrives.
@@ -139,7 +179,7 @@ class Mailbox:
         """Fail future receives from ``src`` (already-buffered frames drain)."""
         with self._cond:
             self._closed_sources.setdefault(src, reason)
-            self._cond.notify_all()
+            self._changed()
 
     def reopen_source(self, src: int) -> None:
         """Clear a per-source closure: a replacement peer took over ``src``.
@@ -151,10 +191,10 @@ class Mailbox:
         """
         with self._cond:
             self._closed_sources.pop(src, None)
-            self._cond.notify_all()
+            self._changed()
 
     def close(self) -> None:
         """Fail all pending and future receives."""
         with self._cond:
             self._closed = True
-            self._cond.notify_all()
+            self._changed()

@@ -274,6 +274,9 @@ class _SocketComm(Comm):
                 src, self._stage, f"peer connection lost: {exc}"
             ) from exc
 
+    def _inbox(self) -> Mailbox:
+        return self._mailbox
+
     def _begin_job_raw(self, job_seq: int) -> None:
         # Per-job barrier-epoch base: a stale barrier frame of an earlier
         # (e.g. aborted) job can never match a later job's rounds.
@@ -314,7 +317,9 @@ class _SocketComm(Comm):
                 self._sender_thread.start()
         # A send future's plain wait() is bounded like a receive, so a
         # wedged peer (full buffer, nothing draining) surfaces as an error.
-        req = _FutureRequest(default_timeout=self._recv_timeout)
+        req = _FutureRequest(
+            default_timeout=self._recv_timeout, on_done=self.wake
+        )
         self._send_queue.put((fn, req))
         return req
 
@@ -796,7 +801,7 @@ def serve_pool_jobs(
                 comm.wait_for_peers(members)
                 job_comm = SubsetComm(comm, members, epoch=epoch)
             job_comm.begin_job(job_seq, traffic)
-            job_comm.job_control = JobControl(job_seq)
+            job_comm.job_control = JobControl(job_seq, wake=job_comm.wake)
             reader.job_control = job_comm.job_control
             if heartbeat_interval is not None and heartbeat_interval > 0:
                 heartbeater = _Heartbeater(

@@ -35,7 +35,6 @@ encode/decode work performed inside the loop).
 from __future__ import annotations
 
 import threading
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -165,16 +164,21 @@ class JobControl:
     out instead of waiting the full receive timeout).
 
     Programs poll the accessors between work windows — all methods are
-    lock-protected and non-blocking.  One-shot runs and the thread
-    backend have no control channel (``comm.job_control is None``) and
-    programs must degrade to plain execution.
+    lock-protected and non-blocking.  ``wake`` (the endpoint's
+    :meth:`~repro.runtime.api.Comm.wake`) runs after every delivery, so a
+    program blocked in ``wait_any`` re-tests at once.  One-shot runs and
+    the thread backend have no control channel (``comm.job_control is
+    None``) and programs must degrade to plain execution.
     """
 
-    def __init__(self, job_seq: int) -> None:
+    def __init__(
+        self, job_seq: int, wake: Optional[Callable[[], None]] = None
+    ) -> None:
         self.job_seq = job_seq
         self._lock = threading.Lock()
         self._speculations: List[Tuple[int, int]] = []
         self._abort_reason: Optional[str] = None
+        self._wake = wake
 
     def deliver(self, payload: Any) -> None:
         """Called from the control reader thread with one driver message."""
@@ -193,6 +197,10 @@ class JobControl:
             with self._lock:
                 if self._abort_reason is None:
                     self._abort_reason = str(payload[1])
+        else:
+            return
+        if self._wake is not None:
+            self._wake()
 
     def abort_reason(self) -> Optional[str]:
         """Why the coordinator aborted this job, or ``None`` while live."""
@@ -468,6 +476,7 @@ def overlapped_multicast_shuffle(
     decode: Callable[[int, Dict[int, bytes]], None],
     map_step: Callable[[], bool],
     ready: Callable[[int], bool],
+    idle: Optional[Callable[[], bool]] = None,
 ) -> Dict[str, float]:
     """Run Map / Encode / Shuffle / Decode as one overlapped event loop.
 
@@ -478,8 +487,18 @@ def overlapped_multicast_shuffle(
     group's packet is encoded and multicast the moment every file subset
     it draws on has been fully mapped locally — while later files are
     still being hashed — so the multicast transfers ride behind the
-    remaining Map (and the Reduce work nested inside ``decode``) instead
-    of extending the critical path.
+    remaining Map instead of extending the critical path.
+
+    The loop has two phases.  While input remains, a map step is
+    followed only by what the next multicast needs (encode + post of the
+    groups it made ready).  After the last map step every remaining
+    group is posted and the loop turns to the inbound side: it decodes
+    each group whose packets have all arrived, otherwise runs one
+    ``idle`` unit (the caller's reduce work), and when neither is
+    possible blocks in :meth:`~repro.runtime.api.Comm.wait_any` on the
+    outstanding receives and sends — woken by the next frame or send
+    completion, never by a sleep-poll.  It returns once every group is
+    decoded and every send has completed.
 
     Args:
         rounds: posting-priority schedule (``CodingPlan.rounds_for``);
@@ -496,12 +515,17 @@ def overlapped_multicast_shuffle(
             decode (recovering a segment XORs the local copies of the
             other senders' subsets back out).  Must be monotone and
             all-``True`` after ``map_step`` is exhausted.
+        idle: runs one bounded unit of work while the link is busy and
+            returns ``False`` when it has none left for now; it should
+            charge its work to its own stage scope (the caller's
+            ``reduce``).  ``None`` (the out-of-core overlap, which
+            reduces inside ``decode``) leaves the loop only waiting.
 
     Returns:
         Span telemetry: ``{"span", "map_overlapped", "encode_overlapped",
-        "decode_overlapped"}`` — ``span`` covers the entire overlapped
-        loop (map included); the ``*_overlapped`` entries are the nested
-        stage seconds spent inside it.
+        "decode_overlapped", "reduce_overlapped"}`` — ``span`` covers the
+        entire overlapped loop (map included); the ``*_overlapped``
+        entries are the nested stage seconds spent inside it.
     """
     comm = program.comm
     rank = program.rank
@@ -544,8 +568,6 @@ def overlapped_multicast_shuffle(
             """Decode every decodable group; report whether any was."""
             progressed = False
             for gidx in sorted(undecoded):
-                if not ready(gidx):
-                    continue
                 reqs = recv_reqs[gidx]
                 if not all(req.test() for req in reqs.values()):
                     continue
@@ -561,17 +583,24 @@ def overlapped_multicast_shuffle(
             with program.stage("map"):
                 mapping = bool(map_step())
             post_ready()
-            sweep()
 
-        post_ready()
         if unsent:
             raise RuntimeError(
                 f"rank {rank}: groups {sorted(unsent)} still not encodable "
                 "after map exhausted (ready() must be all-true by then)"
             )
-        while undecoded:
-            if not sweep():
-                time.sleep(0.0005)
+        in_flight = list(send_reqs)
+        while undecoded or in_flight:
+            if sweep() or (idle is not None and idle()):
+                continue
+            in_flight = [req for req in in_flight if not req.test()]
+            waiting = [
+                req
+                for gidx in sorted(undecoded)
+                for req in recv_reqs[gidx].values()
+                if not req.test()
+            ] + in_flight
+            comm.wait_any(waiting)
         wait_all(send_reqs)
 
     span = scope.elapsed
@@ -592,6 +621,7 @@ def overlapped_multicast_shuffle(
         "map_overlapped": in_loop("map"),
         "encode_overlapped": in_loop("encode"),
         "decode_overlapped": in_loop("decode"),
+        "reduce_overlapped": in_loop("reduce"),
     }
 
 
@@ -602,31 +632,45 @@ def overlapped_multicast_shuffle(
 #: Pseudo-stage keys carrying per-node overlap telemetry to the driver.
 OVERLAP_SPAN_KEY = "overlap_span"
 OVERLAP_HIDDEN_KEY = "overlap_hidden"
+OVERLAP_EXPOSED_KEY = "overlap_exposed"
 
 
 def export_overlap(program: NodeProgram, scope: "_StageScope") -> None:
-    """Stamp an overlapped loop's span + hidden-communication seconds.
+    """Stamp an overlapped loop's span, hidden and exposed seconds.
 
     ``scope`` is the exited stage scope that wrapped the whole overlapped
     event loop: its ``elapsed`` is the loop span, its ``exclusive`` the
     exposed communication/wait time (nested compute scopes were charged
     to their own stages).  The difference — compute performed while
     transfers were concurrently in flight — is the upper bound on hidden
-    communication, stamped as a pseudo-stage so the driver can aggregate
-    it without touching the merged stage table.
+    communication.  Both are stamped as pseudo-stages so the driver can
+    aggregate them without touching the merged stage table.
     """
     program.stopwatch.add(OVERLAP_SPAN_KEY, scope.elapsed)
     program.stopwatch.add(
         OVERLAP_HIDDEN_KEY, max(0.0, scope.elapsed - scope.exclusive)
     )
+    program.stopwatch.add(OVERLAP_EXPOSED_KEY, scope.exclusive)
 
 
 def overlap_meta(per_node_times: Sequence[Dict[str, float]]) -> Dict[str, Any]:
-    """Aggregate the per-node overlap stamps into the run-meta block."""
+    """Aggregate the per-node overlap stamps into the run-meta block.
+
+    * ``span_seconds`` — the overlapped loop's wall span, max over nodes;
+    * ``exposed_wait_seconds`` — the loop's exclusive ``shuffle`` time
+      (communication and waiting no compute covered), max over nodes;
+    * ``hidden_seconds`` — compute nested inside the loop, max over
+      nodes.  An *upper bound* on hidden communication: it counts every
+      compute second that ran while transfers were in flight, including
+      compute the overlapped schedule itself added, so it can exceed
+      what overlap saved against the staged run.
+    """
     spans = [t.get(OVERLAP_SPAN_KEY, 0.0) for t in per_node_times]
     hidden = [t.get(OVERLAP_HIDDEN_KEY, 0.0) for t in per_node_times]
+    exposed = [t.get(OVERLAP_EXPOSED_KEY, 0.0) for t in per_node_times]
     return {
         "span_seconds": max(spans, default=0.0),
+        "exposed_wait_seconds": max(exposed, default=0.0),
         "hidden_seconds": max(hidden, default=0.0),
         "per_node_hidden_seconds": hidden,
     }

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.mapper import hash_file, map_node_coded, map_output_bytes
+from repro.core.mapper import (
+    hash_file,
+    hash_retained,
+    map_node_coded,
+    map_output_bytes,
+)
 from repro.core.partitioner import RangePartitioner
 from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.teragen import teragen
@@ -43,6 +49,27 @@ class TestHashFile:
             got = extract_row_ids(parts[j])
             expected = extract_row_ids(b)[idx == j]
             assert (got == expected).all()
+
+
+class TestHashRetained:
+    @pytest.mark.parametrize("mode", ["ovc", "classic"])
+    def test_matches_hash_file_and_owns_memory(self, mode, monkeypatch):
+        from repro.kvpairs.kernels import KERNELS_ENV
+
+        monkeypatch.setenv(KERNELS_ENV, mode)
+        b = teragen(3000, seed=8)
+        p = RangePartitioner.uniform(5)
+        parts = hash_file(b, p)
+        kept = hash_retained(b, p, [3, 0, 4])
+        assert list(kept) == [3, 0, 4]
+        for target, batch in kept.items():
+            assert batch == parts[target]
+            assert not np.shares_memory(batch.array, b.array)
+            assert batch.array.flags["C_CONTIGUOUS"]
+
+    def test_empty_input(self):
+        kept = hash_retained(RecordBatch.empty(), RangePartitioner.uniform(3), [1])
+        assert len(kept[1]) == 0
 
 
 class TestCodedMap:
